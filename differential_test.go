@@ -121,7 +121,7 @@ func assertSameRows(t *testing.T, seed int64, q querygen.Query, a, b *storage.Ta
 
 // diffReport appends one JSONL divergence record to the file named by the
 // ELS_DIFF_REPORT environment variable — the artifact the CI
-// columnar-differential job uploads on failure. Without the variable it is
+// differential and memory-smoke jobs upload on failure. Without the variable it is
 // a no-op; the t.Fatalf that follows every call carries the same facts.
 func diffReport(t *testing.T, fields map[string]any) {
 	t.Helper()
@@ -140,62 +140,6 @@ func diffReport(t *testing.T, fields map[string]any) {
 		return
 	}
 	f.Write(append(b, '\n'))
-}
-
-// execEngine runs the plan with the given parallelism and engine (columnar
-// or row-at-a-time) on a fresh governor, returning the result plus the
-// governor's tuple/row charge counters.
-func execEngine(t *testing.T, cat *catalog.Catalog, plan optimizer.Plan, workers int, columnar bool) (*executor.Result, [2]int64) {
-	t.Helper()
-	gov := governor.New(context.Background(), governor.Limits{Workers: workers})
-	exec := executor.NewGoverned(cat, gov)
-	exec.SetColumnar(columnar)
-	res, err := exec.Execute(plan)
-	if err != nil {
-		t.Fatalf("workers=%d columnar=%v: %v", workers, columnar, err)
-	}
-	tuples, rows, _ := gov.Usage()
-	return res, [2]int64{tuples, rows}
-}
-
-// TestDifferentialColumnarVsRow is the referee the columnar tentpole is
-// locked down by: for every seeded random query, the row-at-a-time serial
-// result is the oracle, and the columnar engine must reproduce it
-// bit-identically at workers 1, 4, and 8 — same rows in the same order,
-// same TuplesScanned and Comparisons, and the same governor tuple/row
-// charges. Any divergence is appended to the ELS_DIFF_REPORT artifact
-// before the test fails.
-func TestDifferentialColumnarVsRow(t *testing.T) {
-	queries := differentialQueries(t)
-	for seed := int64(0); seed < queries; seed++ {
-		q := querygen.Generate(seed)
-		cat, plan := planGenerated(t, q)
-		row, rowUsage := execEngine(t, cat, plan, 1, false)
-		for _, workers := range []int{1, 4, 8} {
-			col, colUsage := execEngine(t, cat, plan, workers, true)
-			fail := func(field string, got, want any) {
-				diffReport(t, map[string]any{
-					"harness": "columnar-vs-row", "seed": seed, "workers": workers,
-					"query": q.String(), "field": field, "columnar": got, "row": want,
-				})
-				t.Fatalf("seed %d workers %d (%s): %s %v (columnar) vs %v (row)",
-					seed, workers, q, field, got, want)
-			}
-			if col.Stats.RowsProduced != row.Stats.RowsProduced {
-				fail("rows_produced", col.Stats.RowsProduced, row.Stats.RowsProduced)
-			}
-			if col.Stats.TuplesScanned != row.Stats.TuplesScanned {
-				fail("tuples_scanned", col.Stats.TuplesScanned, row.Stats.TuplesScanned)
-			}
-			if col.Stats.Comparisons != row.Stats.Comparisons {
-				fail("comparisons", col.Stats.Comparisons, row.Stats.Comparisons)
-			}
-			if colUsage != rowUsage {
-				fail("governor_usage", colUsage, rowUsage)
-			}
-			assertSameRows(t, seed, q, row.Table, col.Table)
-		}
-	}
 }
 
 // Admission control must be invisible to a single serial client: the same

@@ -166,3 +166,27 @@ func TestSection6ThroughFacade(t *testing.T) {
 		t.Errorf("implied local equality missing: %v", est.ImpliedPredicates)
 	}
 }
+
+// A memory budget must not change join results when the key columns mix
+// int64 and float64: the hash join the budget selects (and its spill
+// path at 4096 bytes) matches 1 = 1.0 and 2 = 2.0 exactly as the
+// unbudgeted sort-merge plan does.
+func TestMixedNumericJoinUnderMemoryBudget(t *testing.T) {
+	for _, budget := range []int64{0, 1 << 20, 4096} {
+		sys := New()
+		if err := sys.LoadCSVReader("A", strings.NewReader("x\n1\n2\n3\n"), true, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.LoadCSVReader("B", strings.NewReader("y\n1.0\n2.0\n2.5\n"), true, 0); err != nil {
+			t.Fatal(err)
+		}
+		sys.SetLimits(Limits{MaxMemory: budget})
+		res, err := sys.Query("SELECT COUNT(*) FROM A, B WHERE A.x = B.y", AlgorithmELS)
+		if err != nil {
+			t.Fatalf("MaxMemory=%d: %v", budget, err)
+		}
+		if res.Count != 2 {
+			t.Errorf("MaxMemory=%d: count = %d, want 2", budget, res.Count)
+		}
+	}
+}

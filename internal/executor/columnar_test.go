@@ -27,10 +27,10 @@ func loadTable(t *testing.T, cat *catalog.Catalog, name string, schema *storage.
 	}
 }
 
-// columnarDiff plans the query and executes it with the row engine (the
-// oracle) and the columnar engine at workers 1 and 4. Rows, row order,
-// work counters, and governor charges must be bit-identical. Returns the
-// row-engine result for additional oracle assertions.
+// columnarDiff plans the query and executes it at workers 1 and 4. The
+// output cardinality must equal the brute-force count, and the parallel
+// run must be identical to the serial one: rows, row order, work
+// counters, and governor charges. Returns the serial result.
 func columnarDiff(t *testing.T, cat *catalog.Catalog, tabs []cardest.TableRef,
 	preds []expr.Predicate, disjs []expr.Disjunction, methods []optimizer.JoinMethod) *Result {
 	t.Helper()
@@ -46,43 +46,43 @@ func columnarDiff(t *testing.T, cat *catalog.Catalog, tabs []cardest.TableRef,
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int, columnar bool) (*Result, [2]int64) {
+	run := func(workers int) (*Result, [2]int64) {
 		gov := governor.New(context.Background(), governor.Limits{Workers: workers})
-		e := NewGoverned(cat, gov)
-		e.SetColumnar(columnar)
-		res, err := e.Execute(plan)
+		res, err := NewGoverned(cat, gov).Execute(plan)
 		if err != nil {
-			t.Fatalf("workers=%d columnar=%v: %v", workers, columnar, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		tuples, rows, _ := gov.Usage()
 		return res, [2]int64{tuples, rows}
 	}
-	row, rowUsage := run(1, false)
-	for _, workers := range []int{1, 4} {
-		col, colUsage := run(workers, true)
-		if col.Stats.RowsProduced != row.Stats.RowsProduced ||
-			col.Stats.TuplesScanned != row.Stats.TuplesScanned ||
-			col.Stats.Comparisons != row.Stats.Comparisons {
-			t.Fatalf("workers=%d: columnar (rows %d, tuples %d, cmp %d) vs row (%d, %d, %d)",
-				workers, col.Stats.RowsProduced, col.Stats.TuplesScanned, col.Stats.Comparisons,
-				row.Stats.RowsProduced, row.Stats.TuplesScanned, row.Stats.Comparisons)
-		}
-		if colUsage != rowUsage {
-			t.Fatalf("workers=%d: governor usage %v (columnar) vs %v (row)", workers, colUsage, rowUsage)
-		}
-		if col.Table.NumRows() != row.Table.NumRows() {
-			t.Fatalf("workers=%d: %d vs %d result rows", workers, col.Table.NumRows(), row.Table.NumRows())
-		}
-		for r := 0; r < row.Table.NumRows(); r++ {
-			for c := 0; c < row.Table.Schema().NumColumns(); c++ {
-				if col.Table.Value(r, c).Key() != row.Table.Value(r, c).Key() {
-					t.Fatalf("workers=%d: row %d col %d: %s (columnar) vs %s (row)",
-						workers, r, c, col.Table.Value(r, c), row.Table.Value(r, c))
-				}
+	serial, serialUsage := run(1)
+	names := make([]string, len(tabs))
+	for i, tab := range tabs {
+		names[i] = tab.Table
+	}
+	if want := bruteForceJoinCount(t, cat, names, names, preds, disjs...); serial.Stats.RowsProduced != int64(want) {
+		t.Fatalf("rows = %d, brute force counts %d", serial.Stats.RowsProduced, want)
+	}
+	par, parUsage := run(4)
+	if par.Stats.RowsProduced != serial.Stats.RowsProduced ||
+		par.Stats.TuplesScanned != serial.Stats.TuplesScanned ||
+		par.Stats.Comparisons != serial.Stats.Comparisons {
+		t.Fatalf("workers=4 (rows %d, tuples %d, cmp %d) vs serial (%d, %d, %d)",
+			par.Stats.RowsProduced, par.Stats.TuplesScanned, par.Stats.Comparisons,
+			serial.Stats.RowsProduced, serial.Stats.TuplesScanned, serial.Stats.Comparisons)
+	}
+	if parUsage != serialUsage {
+		t.Fatalf("governor usage %v (workers=4) vs %v (serial)", parUsage, serialUsage)
+	}
+	for r := 0; r < serial.Table.NumRows(); r++ {
+		for c := 0; c < serial.Table.Schema().NumColumns(); c++ {
+			if par.Table.Value(r, c).Key() != serial.Table.Value(r, c).Key() {
+				t.Fatalf("row %d col %d: %s (workers=4) vs %s (serial)",
+					r, c, par.Table.Value(r, c), serial.Table.Value(r, c))
 			}
 		}
 	}
-	return row
+	return serial
 }
 
 var hashOnly = []optimizer.JoinMethod{optimizer.HashJoin}
@@ -175,27 +175,7 @@ func TestColumnarInt64PrecisionKernel(t *testing.T) {
 	}
 }
 
-// Mixed-type join keys (int64 vs float64) force the columnar engine onto
-// the row fallback; results and counters still agree with the row oracle
-// (typed keys never cross-match in either engine).
-func TestColumnarMixedTypeKeyFallback(t *testing.T) {
-	cat := catalog.New()
-	icol := storage.MustSchema(storage.ColumnDef{Name: "k", Type: storage.TypeInt64})
-	fcol := storage.MustSchema(storage.ColumnDef{Name: "k", Type: storage.TypeFloat64})
-	loadTable(t, cat, "MI", icol, [][]storage.Value{
-		{storage.Int64(1)}, {storage.Int64(2)},
-	})
-	loadTable(t, cat, "MF", fcol, [][]storage.Value{
-		{storage.Float64(1)}, {storage.Float64(2)},
-	})
-	columnarDiff(t, cat,
-		[]cardest.TableRef{{Table: "MI"}, {Table: "MF"}},
-		[]expr.Predicate{expr.NewJoin(ref("MI", "k"), expr.OpEQ, ref("MF", "k"))},
-		nil, hashOnly)
-}
-
-// OR-group filters run through the columnar disjunction path with the
-// same short-circuit comparison counting as the row engine.
+// OR-group filters run through the columnar disjunction path.
 func TestColumnarDisjunctions(t *testing.T) {
 	cat := buildCatalog(t, chainSpecs(120, 80)...)
 	d := mustDisj(t,
@@ -207,30 +187,4 @@ func TestColumnarDisjunctions(t *testing.T) {
 		[]cardest.TableRef{{Table: "T0"}, {Table: "T1"}},
 		[]expr.Predicate{expr.NewJoin(ref("T0", "k"), expr.OpEQ, ref("T1", "k"))},
 		[]expr.Disjunction{d}, hashOnly)
-}
-
-// DisableColumnar forces the row engine even when columnar is available.
-func TestColumnarGovernorEscapeHatch(t *testing.T) {
-	cat := buildCatalog(t, chainSpecs(100)...)
-	est, err := cardest.NewQuery(cat, []cardest.TableRef{{Table: "T0"}},
-		[]expr.Predicate{expr.NewConst(ref("T0", "v"), expr.OpLT, storage.Int64(50))}, nil, cardest.ELS())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt, err := optimizer.New(est, optimizer.PaperOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := opt.BestPlan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gov := governor.New(context.Background(), governor.Limits{DisableColumnar: true, Workers: 1})
-	e := NewGoverned(cat, gov)
-	if e.useColumnar() {
-		t.Fatal("Limits.DisableColumnar did not reach the executor")
-	}
-	if _, err := e.Execute(plan); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -7,14 +7,19 @@
 // chosen under a drastic underestimate pays the re-scans its optimizer
 // believed were free.
 //
-// Scans, hash joins, and nested-loops joins run in parallel on a bounded
-// worker pool (see internal/workpool) when the worker count — SetWorkers,
-// the governor's Limits.Workers, or GOMAXPROCS, in that order — exceeds
-// one. Parallel operators are deterministic: chunk outputs concatenate in
-// chunk order, so results are row-for-row identical to serial execution
+// Scans and nested-loops joins run chunk-parallel on a bounded worker pool
+// (see internal/workpool) when the worker count — SetWorkers, the
+// governor's Limits.Workers, or GOMAXPROCS, in that order — exceeds one.
+// Hash joins build their hash table serially and probe it in parallel
+// chunks. Parallel operators are deterministic: chunk outputs concatenate
+// in chunk order, so results are row-for-row identical to serial execution
 // and the work counters match exactly; the shared governor's atomic
 // budgets stay exact under concurrency. Sort-merge and index-nested-loops
 // run serially (their cost is dominated by sorting and index probes).
+//
+// Scans and hash joins are vectorized over column batches (columnar.go);
+// nested-loops, sort-merge, and index-nested-loops joins run
+// row-at-a-time.
 //
 // The executor counts the base-table tuples it visits and the predicate
 // evaluations it performs, so experiments can report deterministic work
@@ -94,7 +99,6 @@ type Executor struct {
 	cat      *catalog.Catalog
 	gov      *governor.Governor
 	workers  int
-	rowOnly  bool   // SetColumnar(false): force the row-at-a-time engine
 	spillDir string // SetSpillDir: parent of per-query spill dirs
 }
 
@@ -212,7 +216,7 @@ func (e *Executor) run(plan optimizer.Plan, stats *Stats, rec *recorder, depth i
 	}
 	// Charge the materialized operator output to the bytes ledger. The
 	// charge happens once per node at its boundary — identical totals
-	// whichever engine or worker count produced the rows — which is what
+	// whichever worker count produced the rows — which is what
 	// keeps downstream spill decisions deterministic. Inputs consumed by
 	// a join are released in runJoin; output size itself is bounded by
 	// MaxRows, not MaxMemory.
@@ -268,52 +272,10 @@ func (e *Executor) runScan(s *optimizer.Scan, stats *Stats) (*storage.Table, err
 	if err != nil {
 		return nil, err
 	}
-	workers := e.resolveWorkers()
-	ranges := chunkRanges(base.NumRows(), workers)
-	if workers > 1 && len(ranges) > 1 {
-		return e.parallelScan(s, base, schema, filter, orFilter, workers, ranges, stats)
-	}
-	out := storage.NewTable(s.Alias, schema)
-	if err := e.scanRange(base, 0, base.NumRows(), filter, orFilter, out, stats); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// scanRange filters base rows [start, end) into out, charging the visit
-// and row budgets. It is the shared body of the serial scan and of one
-// parallel scan chunk (then out and stats are chunk-local, the governor
-// shared). It dispatches to the vectorized or the row-at-a-time body;
-// both produce identical rows, counters, and governor charges.
-func (e *Executor) scanRange(base *storage.Table, start, end int, filter compiled,
-	orFilter []compiledDisj, out *storage.Table, stats *Stats) error {
-	if e.useColumnar() {
-		return e.scanRangeColumnar(base, start, end, filter, orFilter, out, stats)
-	}
-	return e.scanRangeRows(base, start, end, filter, orFilter, out, stats)
-}
-
-// scanRangeRows is the row-at-a-time scan body.
-func (e *Executor) scanRangeRows(base *storage.Table, start, end int, filter compiled,
-	orFilter []compiledDisj, out *storage.Table, stats *Stats) error {
-	buf := make([]storage.Value, 0, out.Schema().NumColumns())
-	for r := start; r < end; r++ {
-		if err := e.visit(stats); err != nil {
-			return err
-		}
-		buf = base.AppendRowTo(buf[:0], r)
-		ok, err := filter.eval(buf, stats)
-		if err != nil {
-			return err
-		}
-		if !ok || !evalDisjunctions(orFilter, buf, stats) {
-			continue
-		}
-		if err := e.emit(out, buf); err != nil {
-			return err
-		}
-	}
-	return nil
+	return e.chunked(base.NumRows(), s.Alias, schema, PointScanChunk, stats,
+		func(out *storage.Table, start, end int, stats *Stats) error {
+			return e.scanRange(base, start, end, filter, orFilter, out, stats)
+		})
 }
 
 func (e *Executor) runJoin(j *optimizer.Join, stats *Stats, rec *recorder, depth int) (*storage.Table, error) {
@@ -530,15 +492,10 @@ func (e *Executor) nestedLoop(j *optimizer.Join, left *storage.Table, stats *Sta
 	if in.joinFilter, err = compileAll(j.Preds, outSchema); err != nil {
 		return nil, err
 	}
-	workers := e.resolveWorkers()
-	ranges := chunkRanges(left.NumRows(), workers)
-	var out *storage.Table
-	if workers > 1 && len(ranges) > 1 {
-		out, err = e.parallelNestedLoop(left, in, in.joinFilter, outSchema, workers, ranges, stats)
-	} else {
-		out = storage.NewTable("join", outSchema)
-		err = e.nlRange(left, in, in.joinFilter, out, 0, left.NumRows(), stats)
-	}
+	out, err := e.chunked(left.NumRows(), "join", outSchema, PointJoinChunk, stats,
+		func(out *storage.Table, start, end int, stats *Stats) error {
+			return e.nlRange(left, in, out, start, end, stats)
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -553,8 +510,7 @@ func (e *Executor) nestedLoop(j *optimizer.Join, left *storage.Table, stats *Sta
 // nlRange runs the nested-loops join for outer rows [start, end),
 // re-reading the shared inner input per outer row. It is the shared body
 // of the serial operator and of one parallel outer chunk.
-func (e *Executor) nlRange(left *storage.Table, in nlInner, join compiled,
-	out *storage.Table, start, end int, stats *Stats) error {
+func (e *Executor) nlRange(left *storage.Table, in nlInner, out *storage.Table, start, end int, stats *Stats) error {
 	row := make([]storage.Value, 0, out.Schema().NumColumns())
 	inner := make([]storage.Value, 0, in.schema.NumColumns())
 	for lr := start; lr < end; lr++ {
@@ -574,7 +530,7 @@ func (e *Executor) nlRange(left *storage.Table, in nlInner, join compiled,
 			}
 			row = left.AppendRowTo(row[:0], lr)
 			row = append(row, inner...)
-			ok, err := join.eval(row, stats)
+			ok, err := in.joinFilter.eval(row, stats)
 			if err != nil {
 				return err
 			}
@@ -682,8 +638,10 @@ func (e *Executor) sortMerge(j *optimizer.Join, left, right *storage.Table, stat
 	return out, nil
 }
 
-// hashJoin builds a hash table on the right input keyed by the first
-// equality predicate and probes it with the left input.
+// hashJoin builds a typed hash table on the right input keyed by the first
+// equality predicate and probes it with the left input in row order,
+// chunk-parallel when workers allow. A build side over the query's byte
+// budget takes the spill path instead.
 func (e *Executor) hashJoin(j *optimizer.Join, left, right *storage.Table, stats *Stats) (*storage.Table, error) {
 	keyPred, residuals := splitKey(j.Preds)
 	if keyPred == nil {
@@ -701,66 +659,45 @@ func (e *Executor) hashJoin(j *optimizer.Join, left, right *storage.Table, stats
 	if err != nil {
 		return nil, err
 	}
+	mixed, err := mixedKeys(left.Schema().Column(lKey).Type, right.Schema().Column(rKey).Type)
+	if err != nil {
+		return nil, err
+	}
 	if e.gov != nil {
 		// The build side pins the whole right input plus its hash map for
 		// the duration of the join. Its deterministic footprint (the input
-		// bytes, identical across engines and worker counts) both feeds the
-		// spill decision and is charged as working memory on the in-memory
-		// paths.
+		// bytes, identical across worker counts) both feeds the spill
+		// decision and is charged as working memory on the in-memory path.
 		need := right.ApproxBytes()
 		if e.gov.ShouldSpill(need) {
-			return e.spillHashJoin(left, right, lKey, rKey, residual, outSchema, stats, need)
+			return e.spillHashJoin(left, right, lKey, rKey, mixed, residual, outSchema, stats, need)
 		}
 		e.gov.ChargeBytes(need)
 		defer e.gov.ReleaseBytes(need)
 	}
-	if e.useColumnar() {
-		if out, ok, cerr := e.columnarHashJoin(left, right, lKey, rKey, residual, outSchema, stats); ok {
-			return out, cerr
-		}
+	nRight := int64(right.NumRows())
+	stats.TuplesScanned += nRight
+	if err := e.gov.TickTuples(nRight); err != nil {
+		return nil, err
 	}
-	workers := e.resolveWorkers()
-	if workers > 1 && (len(chunkRanges(right.NumRows(), workers)) > 1 ||
-		len(chunkRanges(left.NumRows(), workers)) > 1) {
-		return e.partitionedHashJoin(left, right, lKey, rKey, residual, outSchema, workers, stats)
-	}
-	build := make(map[string][]int, right.NumRows())
-	for r := 0; r < right.NumRows(); r++ {
-		if err := e.visit(stats); err != nil {
-			return nil, err
-		}
-		v := right.Value(r, rKey)
-		if v.IsNull() {
-			continue
-		}
-		k := v.Key()
-		build[k] = append(build[k], r)
-	}
-	out := storage.NewTable("join", outSchema)
-	row := make([]storage.Value, 0, outSchema.NumColumns())
-	for l := 0; l < left.NumRows(); l++ {
-		if err := e.visit(stats); err != nil {
-			return nil, err
-		}
-		v := left.Value(l, lKey)
-		if v.IsNull() {
-			continue
-		}
-		for _, r := range build[v.Key()] {
-			row = left.AppendRowTo(row[:0], l)
-			row = right.AppendRowTo(row, r)
-			ok, err := residual.eval(row, stats)
-			if err != nil {
-				return nil, err
+	table, release := e.buildJoinTable(left, right, lKey, rKey)
+	defer release()
+	return e.chunked(left.NumRows(), "join", outSchema, PointJoinChunk, stats,
+		func(out *storage.Table, start, end int, stats *Stats) error {
+			n := int64(end - start)
+			stats.TuplesScanned += n
+			if err := e.gov.TickTuples(n); err != nil {
+				return err
 			}
-			if ok {
-				if err := e.emit(out, row); err != nil {
-					return nil, err
+			p := e.newPairProbe(table, left, right, residual, out, stats)
+			defer p.close()
+			for l := start; l < end; l++ {
+				if err := p.row(l); err != nil {
+					return err
 				}
 			}
-		}
-	}
-	return out, nil
+			return p.flush()
+		})
 }
 
 // splitKey picks the first equality join predicate as the physical key and

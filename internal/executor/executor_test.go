@@ -33,8 +33,10 @@ func buildCatalog(t *testing.T, specs ...datagen.TableSpec) *catalog.Catalog {
 }
 
 // bruteForceJoinCount computes the true result count of a conjunctive
-// query by cartesian enumeration (test oracle; only for tiny inputs).
-func bruteForceJoinCount(t *testing.T, cat *catalog.Catalog, aliases []string, tables []string, preds []expr.Predicate) int {
+// query, with optional OR-groups, by cartesian enumeration (test oracle;
+// only for tiny inputs).
+func bruteForceJoinCount(t *testing.T, cat *catalog.Catalog, aliases []string, tables []string,
+	preds []expr.Predicate, disjs ...expr.Disjunction) int {
 	t.Helper()
 	data := make([]*storage.Table, len(tables))
 	for i, name := range tables {
@@ -57,6 +59,15 @@ func bruteForceJoinCount(t *testing.T, cat *catalog.Catalog, aliases []string, t
 			}
 			for _, p := range preds {
 				ok, err := p.Eval(binding)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					return
+				}
+			}
+			for _, d := range disjs {
+				ok, err := d.Eval(binding)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -12,13 +12,14 @@
 // ledger regardless), so spilling it would cost I/O and free nothing;
 // its rows are routed to partitions as in-memory index lists instead.
 //
-// Bit-identity with the in-memory join is load-bearing (the differential
-// harness referees it): a probe row's equality key lands in exactly one
-// partition, partition files preserve build-row order, and the final
-// merge interleaves partition outputs by original probe-row index — so
-// rows, order, TuplesScanned, Comparisons, and governor tuple/row
-// charges all match the serial hash join exactly. Only the bytes ledger
-// (and the spill counters) differ, by design.
+// Bit-identity with the in-memory join is load-bearing (the spill
+// differential referees it): a probe row's equality key lands in exactly
+// one partition, partition files preserve build-row order, each partition
+// joins through the in-memory join's typed hash table and pair probe, and
+// the final merge interleaves partition outputs by original probe-row
+// index — so rows, order, TuplesScanned, Comparisons, and governor
+// tuple/row charges all match the serial hash join exactly. Only the
+// bytes ledger (and the spill counters) differ, by design.
 package executor
 
 import (
@@ -206,11 +207,13 @@ func encodeVals(dst []byte, vals []storage.Value) []byte {
 var errSpillCorrupt = fmt.Errorf("spill run corrupt")
 
 // decodeRow decodes one row off the front of a spill run payload into
-// vals (reused across calls), returning the remaining payload.
+// vals (reused across calls), returning the remaining payload. It accepts
+// exactly the encodings encodeValue produces, and bounds every length
+// prefix by the remaining payload before slicing.
 func decodeRow(buf []byte, schema *storage.Schema, vals []storage.Value) ([]storage.Value, []byte, error) {
 	vals = vals[:0]
 	for c := 0; c < schema.NumColumns(); c++ {
-		if len(buf) < 1 {
+		if len(buf) < 1 || buf[0] > 1 {
 			return nil, nil, errSpillCorrupt
 		}
 		null := buf[0] == 1
@@ -234,7 +237,7 @@ func decodeRow(buf []byte, schema *storage.Schema, vals []storage.Value) ([]stor
 			vals = append(vals, storage.Float64(math.Float64frombits(binary.LittleEndian.Uint64(buf))))
 			buf = buf[8:]
 		case storage.TypeBool:
-			if len(buf) < 1 {
+			if len(buf) < 1 || buf[0] > 1 {
 				return nil, nil, errSpillCorrupt
 			}
 			vals = append(vals, storage.Bool(buf[0] == 1))
@@ -255,6 +258,23 @@ func decodeRow(buf []byte, schema *storage.Schema, vals []storage.Value) ([]stor
 		}
 	}
 	return vals, buf, nil
+}
+
+// decodeRun decodes every row of one verified run payload in order,
+// handing each to fn (vals is reused across calls). A malformed payload
+// fails as ErrMemory.
+func decodeRun(payload []byte, schema *storage.Schema, fn func(vals []storage.Value) error) error {
+	vals := make([]storage.Value, 0, schema.NumColumns())
+	for len(payload) > 0 {
+		var err error
+		if vals, payload, err = decodeRow(payload, schema, vals); err != nil {
+			return spillFail("read", err)
+		}
+		if err := fn(vals); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // spillWriter accumulates encoded rows for one partition and flushes
@@ -352,12 +372,26 @@ func spillRunLimit(budget int64, parts int) int {
 	return limit
 }
 
+// spillJoin is one Grace hash join's fixed state, shared by its
+// recursive partition passes.
+type spillJoin struct {
+	e           *Executor
+	dir         string
+	left        *storage.Table
+	rightSchema *storage.Schema
+	lKey, rKey  int
+	mixed       bool // int64 joined with float64: route and hash by float64 value
+	residual    compiled
+	outSchema   *storage.Schema
+	stats       *Stats
+}
+
 // spillHashJoin is the Grace hash join: the build side is partitioned
 // into checksummed spill runs, probe rows are routed to matching
 // in-memory index lists, each partition is joined within budget
 // (re-partitioning recursively while over), and partition outputs merge
 // back into exact probe-row order.
-func (e *Executor) spillHashJoin(left, right *storage.Table, lKey, rKey int,
+func (e *Executor) spillHashJoin(left, right *storage.Table, lKey, rKey int, mixed bool,
 	residual compiled, outSchema *storage.Schema, stats *Stats, need int64) (out *storage.Table, err error) {
 	root := e.spillRoot()
 	if err := os.MkdirAll(root, 0o755); err != nil {
@@ -378,6 +412,8 @@ func (e *Executor) spillHashJoin(left, right *storage.Table, lKey, rKey int,
 		}
 		os.RemoveAll(dir)
 	}()
+	sj := &spillJoin{e: e, dir: dir, left: left, rightSchema: right.Schema(), lKey: lKey, rKey: rKey,
+		mixed: mixed, residual: residual, outSchema: outSchema, stats: stats}
 
 	budget := e.gov.MaxMemory()
 	parts := spillPartitions(need, budget)
@@ -402,7 +438,7 @@ func (e *Executor) spillHashJoin(left, right *storage.Table, lKey, rKey int,
 		if v.IsNull() {
 			continue
 		}
-		w := writers[spillPart(v.Key(), parts, 0)]
+		w := writers[spillPart(joinKey(v, mixed), parts, 0)]
 		w.buf = encodeRow(w.buf, right, r)
 		if err := w.maybeFlush(); err != nil {
 			return nil, err
@@ -428,7 +464,7 @@ func (e *Executor) spillHashJoin(left, right *storage.Table, lKey, rKey int,
 		if v.IsNull() {
 			continue
 		}
-		p := spillPart(v.Key(), parts, 0)
+		p := spillPart(joinKey(v, mixed), parts, 0)
 		lparts[p] = append(lparts[p], l)
 	}
 
@@ -437,8 +473,7 @@ func (e *Executor) spillHashJoin(left, right *storage.Table, lKey, rKey int,
 	outs := make([]*storage.Table, 0, parts)
 	origins := make([][]int, 0, parts)
 	for p := 0; p < parts; p++ {
-		pOut, pIdx, err := e.joinSpillPartition(dir, writers[p].files, writers[p].bytes,
-			lparts[p], left, right.Schema(), lKey, rKey, residual, outSchema, stats, 1)
+		pOut, pIdx, err := sj.partition(writers[p].files, writers[p].bytes, lparts[p], 1)
 		if err != nil {
 			return nil, err
 		}
@@ -449,109 +484,94 @@ func (e *Executor) spillHashJoin(left, right *storage.Table, lKey, rKey int,
 	return merged, err
 }
 
-// joinSpillPartition joins one partition's build runs against its probe
-// index list. A partition still over budget re-partitions recursively
-// (streaming rows file-to-file, never holding the oversized partition in
-// memory) until maxSpillDepth.
-func (e *Executor) joinSpillPartition(dir string, files []string, payloadBytes int64,
-	lrows []int, left *storage.Table, rightSchema *storage.Schema, lKey, rKey int,
-	residual compiled, outSchema *storage.Schema, stats *Stats, depth int) (*storage.Table, []int, error) {
+// partition joins one partition's build runs against its probe index
+// list through the in-memory join's typed hash table and pair probe. The
+// routing passes already counted every visit, so the probe counts none.
+// A partition still over budget re-partitions recursively (streaming rows
+// file-to-file, never holding the oversized partition in memory) until
+// maxSpillDepth.
+func (sj *spillJoin) partition(files []string, payloadBytes int64, lrows []int, depth int) (*storage.Table, []int, error) {
+	e := sj.e
 	if len(files) == 0 || len(lrows) == 0 {
 		// No matches possible; the runs (if any) die with the query dir.
-		return storage.NewTable("join", outSchema), nil, nil
+		return storage.NewTable("join", sj.outSchema), nil, nil
 	}
 	used, _, _ := e.gov.MemoryUsage()
 	if budget := e.gov.MaxMemory(); budget > 0 && used+payloadBytes > budget && depth < maxSpillDepth {
-		return e.respillPartition(dir, files, lrows, left, rightSchema, lKey, rKey, residual, outSchema, stats, depth)
+		return sj.respill(files, lrows, depth)
 	}
 
 	// Decode the partition's build rows (run order = original row order).
-	part := storage.NewTable("spill", rightSchema)
-	vals := make([]storage.Value, 0, rightSchema.NumColumns())
+	part := storage.NewTable("spill", sj.rightSchema)
 	for _, f := range files {
 		payload, err := e.readSpillRun(f)
 		if err != nil {
 			return nil, nil, err
 		}
-		for len(payload) > 0 {
+		err = decodeRun(payload, sj.rightSchema, func(vals []storage.Value) error {
 			// Decoding revisits rows already counted in the routing pass, so
 			// poll the governor without charging — counter parity with the
 			// in-memory join is load-bearing.
 			if err := e.gov.Err(); err != nil {
-				return nil, nil, err
-			}
-			var derr error
-			vals, payload, derr = decodeRow(payload, rightSchema, vals)
-			if derr != nil {
-				return nil, nil, spillFail("read", derr)
+				return err
 			}
 			if err := part.AppendRow(vals...); err != nil {
-				return nil, nil, spillFail("read", err)
+				return spillFail("read", err)
 			}
+			return nil
+		})
+		if err != nil {
+			return nil, nil, err
 		}
 	}
 	partBytes := part.ApproxBytes()
 	e.gov.ChargeBytes(partBytes)
 	defer e.gov.ReleaseBytes(partBytes)
 
-	build := make(map[string][]int, part.NumRows())
-	for r := 0; r < part.NumRows(); r++ {
-		build[part.Value(r, rKey).Key()] = append(build[part.Value(r, rKey).Key()], r)
-	}
-	out := storage.NewTable("join", outSchema)
+	table, release := e.buildJoinTable(sj.left, part, sj.lKey, sj.rKey)
+	defer release()
+	out := storage.NewTable("join", sj.outSchema)
 	var origin []int
-	row := make([]storage.Value, 0, outSchema.NumColumns())
+	p := e.newPairProbe(table, sj.left, part, sj.residual, out, sj.stats)
+	p.origin = &origin
+	defer p.close()
 	for _, l := range lrows {
-		for _, r := range build[left.Value(l, lKey).Key()] {
-			row = left.AppendRowTo(row[:0], l)
-			row = part.AppendRowTo(row, r)
-			ok, err := residual.eval(row, stats)
-			if err != nil {
-				return nil, nil, err
-			}
-			if ok {
-				if err := e.emit(out, row); err != nil {
-					return nil, nil, err
-				}
-				origin = append(origin, l)
-			}
+		if err := p.row(l); err != nil {
+			return nil, nil, err
 		}
+	}
+	if err := p.flush(); err != nil {
+		return nil, nil, err
 	}
 	return out, origin, nil
 }
 
-// respillPartition splits an over-budget partition one level deeper:
-// build rows stream from the parent runs into salted sub-partition runs,
-// probe indices re-route in memory, and each sub-partition joins
-// recursively. Sub-outputs merge by origin, so the parent sees the same
-// order it would have produced without the extra level.
-func (e *Executor) respillPartition(dir string, files []string, lrows []int,
-	left *storage.Table, rightSchema *storage.Schema, lKey, rKey int,
-	residual compiled, outSchema *storage.Schema, stats *Stats, depth int) (*storage.Table, []int, error) {
+// respill splits an over-budget partition one level deeper: build rows
+// stream from the parent runs into salted sub-partition runs, probe
+// indices re-route in memory, and each sub-partition joins recursively.
+// Sub-outputs merge by origin, so the parent sees the same order it would
+// have produced without the extra level.
+func (sj *spillJoin) respill(files []string, lrows []int, depth int) (*storage.Table, []int, error) {
+	e := sj.e
 	budget := e.gov.MaxMemory()
 	parts := minSpillParts * 2
 	limit := spillRunLimit(budget, parts)
 	writers := make([]*spillWriter, parts)
 	for p := range writers {
-		writers[p] = newSpillWriter(e, dir, fmt.Sprintf("d%d-%s-%d", depth, filepath.Base(files[0]), p), limit)
+		writers[p] = newSpillWriter(e, sj.dir, fmt.Sprintf("d%d-%s-%d", depth, filepath.Base(files[0]), p), limit)
 	}
-	vals := make([]storage.Value, 0, rightSchema.NumColumns())
 	for _, f := range files {
 		payload, err := e.readSpillRun(f)
 		if err != nil {
 			return nil, nil, err
 		}
-		for len(payload) > 0 {
-			var derr error
-			vals, payload, derr = decodeRow(payload, rightSchema, vals)
-			if derr != nil {
-				return nil, nil, spillFail("read", derr)
-			}
-			w := writers[spillPart(vals[rKey].Key(), parts, depth)]
+		err = decodeRun(payload, sj.rightSchema, func(vals []storage.Value) error {
+			w := writers[spillPart(joinKey(vals[sj.rKey], sj.mixed), parts, depth)]
 			w.buf = encodeVals(w.buf, vals)
-			if err := w.maybeFlush(); err != nil {
-				return nil, nil, err
-			}
+			return w.maybeFlush()
+		})
+		if err != nil {
+			return nil, nil, err
 		}
 	}
 	var spilled int64
@@ -565,21 +585,20 @@ func (e *Executor) respillPartition(dir string, files []string, lrows []int,
 
 	subRows := make([][]int, parts)
 	for _, l := range lrows {
-		p := spillPart(left.Value(l, lKey).Key(), parts, depth)
+		p := spillPart(joinKey(sj.left.Value(l, sj.lKey), sj.mixed), parts, depth)
 		subRows[p] = append(subRows[p], l)
 	}
 	outs := make([]*storage.Table, 0, parts)
 	origins := make([][]int, 0, parts)
 	for p := 0; p < parts; p++ {
-		sOut, sIdx, err := e.joinSpillPartition(dir, writers[p].files, writers[p].bytes,
-			subRows[p], left, rightSchema, lKey, rKey, residual, outSchema, stats, depth+1)
+		sOut, sIdx, err := sj.partition(writers[p].files, writers[p].bytes, subRows[p], depth+1)
 		if err != nil {
 			return nil, nil, err
 		}
 		outs = append(outs, sOut)
 		origins = append(origins, sIdx)
 	}
-	return e.mergeByOrigin(outSchema, outs, origins)
+	return e.mergeByOrigin(sj.outSchema, outs, origins)
 }
 
 // mergeByOrigin interleaves partition outputs by original probe-row

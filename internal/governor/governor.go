@@ -322,15 +322,10 @@ type Limits struct {
 	// starts. 0 means unbounded — every read serves, however stale. It
 	// has no effect on a primary, which is never stale.
 	MaxReplicaLag int
-	// DisableColumnar forces the executor's row-at-a-time engine instead of
-	// the vectorized batch kernels. The engines are bit-identical in
-	// results and work counters — this is the escape hatch that keeps them
-	// comparable in-tree (differential tests, bisection, perf baselines).
-	DisableColumnar bool
 	// DisableCache bypasses the plan/estimate cache for this system's
-	// serve calls: every query is parsed, planned, and estimated cold.
-	// Like DisableColumnar it exists so the cached and cold paths can be
-	// compared against each other at any time.
+	// serve calls: every query is parsed, planned, and estimated cold, so
+	// the cached and cold paths can be compared against each other at any
+	// time.
 	DisableCache bool
 	// PlanCacheSize overrides the plan cache's entry capacity; 0 keeps the
 	// default. Like the admission fields it governs the system, not a
@@ -355,13 +350,6 @@ func (l Limits) Enforced() bool {
 
 // Admission reports whether admission control is configured.
 func (l Limits) Admission() bool { return l.MaxConcurrent > 0 }
-
-// ColumnarDisabled reports whether the governed call must use the
-// row-at-a-time engine. A nil governor (ungoverned executor) defaults to
-// the vectorized engine.
-func (g *Governor) ColumnarDisabled() bool {
-	return g != nil && g.limits.DisableColumnar
-}
 
 // checkInterval is how many ticks pass between context/deadline polls.
 const checkInterval = 1024

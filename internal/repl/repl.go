@@ -124,14 +124,14 @@ func (p *Processor) help() error {
   algos                                     list algorithms
   limits [timeout=D] [tuples=N] [rows=N] [plans=N] [memory=N] [workers=N]
          [max-concurrent=N] [max-queue=N] [queue-timeout=D]
-         [max-replica-lag=N] [columnar=on|off] [cache=on|off]
+         [max-replica-lag=N] [cache=on|off]
          [plan-cache-size=N]
                                             set per-query budgets (memory=N is
                                             the byte budget; over it, hash joins
                                             spill to disk), parallelism,
                                             admission control, replica staleness,
-                                            and the columnar/plan-cache engine
-                                            switches ("limits off" clears)
+                                            and the plan cache ("limits off"
+                                            clears)
   serving                                   show serving-layer counters
                                             (catalog version, admission, retries,
                                             circuit breaker, plan cache,
@@ -172,15 +172,15 @@ func (p *Processor) setAlgo(args []string) error {
 	return nil
 }
 
-const limitsUsage = "usage: limits [timeout=D] [tuples=N] [rows=N] [plans=N] [memory=N] [workers=N] [max-concurrent=N] [max-queue=N] [queue-timeout=D] [max-replica-lag=N] [columnar=on|off] [cache=on|off] [plan-cache-size=N] | limits off"
+const limitsUsage = "usage: limits [timeout=D] [tuples=N] [rows=N] [plans=N] [memory=N] [workers=N] [max-concurrent=N] [max-queue=N] [queue-timeout=D] [max-replica-lag=N] [cache=on|off] [plan-cache-size=N] | limits off"
 
 // formatLimits renders one line of the full limit set, budgets and
 // admission control alike.
 func formatLimits(l els.Limits) string {
-	return fmt.Sprintf("timeout=%s tuples=%d rows=%d plans=%d memory=%d workers=%d max-concurrent=%d max-queue=%d queue-timeout=%s max-replica-lag=%d columnar=%s cache=%s plan-cache-size=%d",
+	return fmt.Sprintf("timeout=%s tuples=%d rows=%d plans=%d memory=%d workers=%d max-concurrent=%d max-queue=%d queue-timeout=%s max-replica-lag=%d cache=%s plan-cache-size=%d",
 		l.Timeout, l.MaxTuples, l.MaxRows, l.MaxPlans, l.MaxMemory, l.Workers,
 		l.MaxConcurrent, l.MaxQueue, l.QueueTimeout, l.MaxReplicaLag,
-		onOff(!l.DisableColumnar), onOff(!l.DisableCache), l.PlanCacheSize)
+		onOff(!l.DisableCache), l.PlanCacheSize)
 }
 
 func onOff(on bool) string {
@@ -197,7 +197,7 @@ func (p *Processor) limits(args []string) error {
 	if len(args) == 0 {
 		l := p.sys.Limits()
 		if !l.Enforced() && !l.Admission() && l.Workers == 0 && l.MaxQueue == 0 && l.QueueTimeout == 0 && l.MaxReplicaLag == 0 &&
-			!l.DisableColumnar && !l.DisableCache && l.PlanCacheSize == 0 {
+			!l.DisableCache && l.PlanCacheSize == 0 {
 			p.printf("no limits\n")
 			return nil
 		}
@@ -233,21 +233,15 @@ func (p *Processor) limits(args []string) error {
 			} else {
 				l.QueueTimeout = d
 			}
-		case "columnar", "cache":
-			var on bool
+		case "cache":
 			switch strings.ToLower(parts[1]) {
 			case "on":
-				on = true
+				l.DisableCache = false
 			case "off":
-				on = false
+				l.DisableCache = true
 			default:
 				p.printf("bad %s %q (want on or off)\n%s\n", key, parts[1], limitsUsage)
 				return nil
-			}
-			if key == "columnar" {
-				l.DisableColumnar = !on
-			} else {
-				l.DisableCache = !on
 			}
 		case "tuples", "rows", "plans", "memory", "workers", "max-concurrent", "max-queue", "max-replica-lag", "plan-cache-size":
 			n, err := strconv.ParseInt(parts[1], 10, 64)
@@ -280,7 +274,7 @@ func (p *Processor) limits(args []string) error {
 				l.PlanCacheSize = int(n)
 			}
 		default:
-			p.printf("unknown limit %q (want timeout, tuples, rows, plans, memory, workers, max-concurrent, max-queue, queue-timeout, max-replica-lag, columnar, cache, plan-cache-size)\n", parts[0])
+			p.printf("unknown limit %q (want timeout, tuples, rows, plans, memory, workers, max-concurrent, max-queue, queue-timeout, max-replica-lag, cache, plan-cache-size)\n", parts[0])
 			return nil
 		}
 	}

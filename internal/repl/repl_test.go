@@ -323,8 +323,8 @@ func TestServingNoDurableLine(t *testing.T) {
 	}
 }
 
-// The serving line surfaces plan-cache counters, and the cache/columnar
-// limits verbs flip the engine switches.
+// The serving line surfaces plan-cache counters, and the cache limits
+// verbs flip the plan-cache switches.
 func TestServingPlanCacheAndLimitsVerbs(t *testing.T) {
 	out := runLines(t,
 		"declare R 1000 x=100",
@@ -336,9 +336,13 @@ func TestServingPlanCacheAndLimitsVerbs(t *testing.T) {
 		t.Errorf("serving output misses plan-cache counters:\n%s", out)
 	}
 
-	out = runLines(t, "limits columnar=off cache=off plan-cache-size=7", "limits")
-	if !strings.Contains(out, "columnar=off cache=off plan-cache-size=7") {
+	out = runLines(t, "limits cache=off plan-cache-size=7", "limits")
+	if !strings.Contains(out, "cache=off plan-cache-size=7") {
 		t.Errorf("limits verbs did not round-trip:\n%s", out)
+	}
+	out = runLines(t, "limits columnar=off")
+	if !strings.Contains(out, `unknown limit "columnar"`) {
+		t.Errorf("removed columnar verb not rejected:\n%s", out)
 	}
 	out = runLines(t, "limits cache=maybe")
 	if !strings.Contains(out, "want on or off") {

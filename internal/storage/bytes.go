@@ -3,7 +3,7 @@ package storage
 // Byte accounting for the governor's memory ledger. The model is a fixed
 // per-value footprint — int64/float64 8 bytes, bool 1 byte, string 16
 // bytes of header plus its content — chosen so that the same total is
-// reached whether a materialization is charged value-by-value (row engine
+// reached whether a materialization is charged value-by-value (row-wise
 // emit paths), row-by-row (spill runs), or table-at-once (operator
 // outputs): Table.ApproxBytes equals the sum of RowBytes over the
 // table's rows exactly. NULLs charge their type's base footprint (the
