@@ -2,6 +2,7 @@ package els
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -116,6 +117,62 @@ func TestCacheInvalidationOnPublish(t *testing.T) {
 	}
 	if st := sys.CacheStats(); st.Invalidations == 0 {
 		t.Fatalf("publish retired no entries: %+v", st)
+	}
+}
+
+// The plan cache keys on whether a memory budget is enforced. Without a
+// budget the planner picks sort-merge; under one it must pick the hash
+// join (which can spill), so a sort-merge plan cached before the budget
+// was set must not be served after it: the repeat would fail on
+// sort-merge scratch it cannot spill. Budgets of different sizes still
+// share one entry.
+func TestCacheKeyedByMemoryBudget(t *testing.T) {
+	sys := New()
+	sys.SetSpillDir(t.TempDir())
+	for i, name := range []string{"A", "B"} {
+		if err := sys.GenerateTable(name, "x", "permutation", 3000, 0, 0, int64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const q = "SELECT COUNT(*) FROM A, B WHERE A.x = B.x"
+	run := func(phase string) *Result {
+		t.Helper()
+		res, err := sys.Query(q, AlgorithmSM)
+		if err != nil {
+			t.Fatalf("%s: %v", phase, err)
+		}
+		if res.Count != 3000 {
+			t.Fatalf("%s: counted %d rows, want 3000", phase, res.Count)
+		}
+		return res
+	}
+	explain := func() string {
+		t.Helper()
+		out, err := sys.Explain(q, AlgorithmSM)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+
+	run("unbudgeted")
+	if out := explain(); !strings.Contains(out, "SM(A ⋈ B)") {
+		t.Fatalf("unbudgeted plan is not sort-merge:\n%s", out)
+	}
+
+	sys.SetLimits(Limits{MaxMemory: 4096})
+	if res := run("budgeted repeat"); res.SpillCount == 0 {
+		t.Errorf("budgeted repeat did not spill: it ran a plan made without the budget")
+	}
+	if out := explain(); !strings.Contains(out, "HASH(A ⋈ B)") {
+		t.Errorf("Explain under a memory budget does not show the hash plan:\n%s", out)
+	}
+
+	hits := sys.CacheStats().Hits
+	sys.SetLimits(Limits{MaxMemory: 1 << 20})
+	run("larger budget")
+	if sys.CacheStats().Hits == hits {
+		t.Error("a different budget size missed the cache; only enforcement should be keyed")
 	}
 }
 

@@ -15,11 +15,6 @@
 // worker count, plus cache_hit_rate (the plan cache's hit rate on the
 // "repeated" Zipf-skewed statement workload).
 //
-// -max-concurrent and -queue-timeout route the run through the library's
-// admission controller (the layer serving systems use to shed load), so a
-// bench run competing with other work on the box fails fast with a typed
-// overload error instead of queueing forever.
-//
 // -data-dir additionally benchmarks the durable catalog layer: the Section
 // 8 statistics catalog (at the run's -scale) is declared through the WAL,
 // checkpointed halfway, and then recovered with a fresh els.Open whose
@@ -62,7 +57,6 @@ import (
 	"time"
 
 	els "repro"
-	"repro/internal/admission"
 	"repro/internal/cardest"
 	"repro/internal/catalog"
 	"repro/internal/datagen"
@@ -78,26 +72,22 @@ import (
 
 func main() {
 	var (
-		which         = flag.String("experiment", "all", "experiments to run (comma-separated): all, section8, examples, indexed, chain, zipf, urn, sampled, independence, random, repeated")
-		scale         = flag.Int("scale", 1, "divide the Section 8 table sizes by this factor")
-		seed          = flag.Int64("seed", 42, "random seed for data generation")
-		estimates     = flag.Bool("estimates-only", false, "skip data generation and execution (Section 8)")
-		workers       = flag.Int("workers", 0, "intra-query parallelism for executed experiments (0 = GOMAXPROCS, 1 = serial)")
-		jsonPath      = flag.String("json", "", "also write a machine-readable bench report to this path")
-		timeout       = flag.Duration("timeout", 0, "wall-clock budget for the whole run (0 = none)")
-		maxConcurrent = flag.Int("max-concurrent", 0, "admission control: max concurrently admitted runs (0 = unlimited)")
-		queueTimeout  = flag.Duration("queue-timeout", 0, "admission control: max time the run waits for a slot (0 = forever)")
-		dataDir       = flag.String("data-dir", "", "durable catalog directory: persist the Section 8 statistics catalog, checkpoint on exit, and measure recovery_ms")
-		replicas      = flag.Int("replicas", 0, "with -data-dir: attach N WAL-shipped read replicas, measure cold catch-up time and follower read throughput")
-		serverBench   = flag.Bool("server", false, "benchmark the wire server: oversubscribed client swarm against an in-process elsserve tenant, measure server_p99_ms and shed_rate")
-		maxMemory     = flag.Int64("max-memory", 0, "benchmark memory governance: per-query byte budget for the spill workload, measure spill_rate and peak_query_bytes (0 = skip)")
+		which       = flag.String("experiment", "all", "experiments to run (comma-separated): all, section8, examples, indexed, chain, zipf, urn, sampled, independence, random, repeated")
+		scale       = flag.Int("scale", 1, "divide the Section 8 table sizes by this factor")
+		seed        = flag.Int64("seed", 42, "random seed for data generation")
+		estimates   = flag.Bool("estimates-only", false, "skip data generation and execution (Section 8)")
+		workers     = flag.Int("workers", 0, "intra-query parallelism for executed experiments (0 = GOMAXPROCS, 1 = serial)")
+		jsonPath    = flag.String("json", "", "also write a machine-readable bench report to this path")
+		timeout     = flag.Duration("timeout", 0, "wall-clock budget for the whole run (0 = none)")
+		dataDir     = flag.String("data-dir", "", "durable catalog directory: persist the Section 8 statistics catalog, checkpoint on exit, and measure recovery_ms")
+		replicas    = flag.Int("replicas", 0, "with -data-dir: attach N WAL-shipped read replicas, measure cold catch-up time and follower read throughput")
+		serverBench = flag.Bool("server", false, "benchmark the wire server: oversubscribed client swarm against an in-process elsserve tenant, measure server_p99_ms and shed_rate")
+		maxMemory   = flag.Int64("max-memory", 0, "benchmark memory governance: per-query byte budget for the spill workload, measure spill_rate and peak_query_bytes (0 = skip)")
 	)
 	flag.Parse()
 	report := &experiment.BenchReport{Scale: *scale, Seed: *seed, GoMaxProcs: runtime.GOMAXPROCS(0)}
-	err := admitted(*maxConcurrent, *queueTimeout, func() error {
-		return withTimeout(*timeout, func() error {
-			return run(os.Stdout, *which, *scale, *seed, *estimates, *workers, report)
-		})
+	err := withTimeout(*timeout, func() error {
+		return run(os.Stdout, *which, *scale, *seed, *estimates, *workers, report)
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "elsbench:", err)
@@ -146,24 +136,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stdout, "bench report written to %s\n", *jsonPath)
 	}
-}
-
-// admitted routes f through the library's admission controller when
-// -max-concurrent is set: the run acquires an execution slot first,
-// waiting at most queueTimeout, and sheds with a typed overload error if
-// the wait expires. With maxConcurrent ≤ 0 admission is disabled and f
-// runs directly.
-func admitted(maxConcurrent int, queueTimeout time.Duration, f func() error) error {
-	if maxConcurrent <= 0 {
-		return f()
-	}
-	adm := admission.New(admission.Config{MaxConcurrent: maxConcurrent, QueueTimeout: queueTimeout})
-	slot, err := adm.Acquire(context.Background())
-	if err != nil {
-		return err
-	}
-	defer slot.Release()
-	return f()
 }
 
 // withTimeout bounds f's wall-clock time, reporting overrun as the same

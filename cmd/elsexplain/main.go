@@ -47,14 +47,12 @@ func main() {
 	maxPlans := flag.Int64("max-plans", 0, "enumerated-plan budget per explain (0 = none)")
 	maxMemory := flag.Int64("max-memory", 0, "working-memory byte budget per query (0 = none); hash joins over it spill to disk")
 	workers := flag.Int("workers", 0, "plan-search parallelism (0 = GOMAXPROCS, 1 = serial)")
-	maxConcurrent := flag.Int("max-concurrent", 0, "admission control: max concurrently executing explains (0 = unlimited)")
-	queueTimeout := flag.Duration("queue-timeout", 0, "admission control: max time an explain waits for a slot (0 = forever)")
 	dataDir := flag.String("data-dir", "", "durable catalog directory: recover statistics from it, persist -table declarations, checkpoint on exit")
 	flag.Parse()
 
 	if err := run(tables, *sql, *algo, *dataDir, els.Limits{
 		Timeout: *timeout, MaxPlans: *maxPlans, MaxMemory: *maxMemory,
-		Workers: *workers, MaxConcurrent: *maxConcurrent, QueueTimeout: *queueTimeout,
+		Workers: *workers,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "elsexplain:", err)
 		os.Exit(1)

@@ -31,7 +31,6 @@ import (
 	"time"
 
 	els "repro"
-	"repro/internal/admission"
 	"repro/internal/datagen"
 	"repro/internal/governor"
 	"repro/internal/storage"
@@ -45,40 +44,18 @@ func main() {
 	header := flag.Bool("header", false, "emit a CSV header row")
 	workers := flag.Int("workers", 0, "CSV formatting parallelism (0 = GOMAXPROCS, 1 = serial); output is identical at any setting")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for generation (0 = none)")
-	maxConcurrent := flag.Int("max-concurrent", 0, "admission control: max concurrently admitted generations (0 = unlimited)")
-	queueTimeout := flag.Duration("queue-timeout", 0, "admission control: max time the run waits for a slot (0 = forever)")
 	maxMemory := flag.Int64("max-memory", 0, "per-query working-memory byte budget for the durable session that persists statistics (-data-dir); 0 = none")
 	name := flag.String("name", "gen", "table name for the durable catalog entry (-data-dir)")
 	dataDir := flag.String("data-dir", "", "durable catalog directory: record the generated table's exact statistics, checkpointed on exit")
 	flag.Parse()
 
-	err := admitted(*maxConcurrent, *queueTimeout, func() error {
-		return withTimeout(*timeout, func() error {
-			return run(*rows, *cols, *seed, *header, *workers, *maxMemory, *name, *dataDir, os.Stdout)
-		})
+	err := withTimeout(*timeout, func() error {
+		return run(*rows, *cols, *seed, *header, *workers, *maxMemory, *name, *dataDir, os.Stdout)
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "elsgen:", err)
 		os.Exit(1)
 	}
-}
-
-// admitted routes f through the library's admission controller when
-// -max-concurrent is set: the run acquires an execution slot first,
-// waiting at most queueTimeout, and sheds with a typed overload error if
-// the wait expires. With maxConcurrent ≤ 0 admission is disabled and f
-// runs directly.
-func admitted(maxConcurrent int, queueTimeout time.Duration, f func() error) error {
-	if maxConcurrent <= 0 {
-		return f()
-	}
-	adm := admission.New(admission.Config{MaxConcurrent: maxConcurrent, QueueTimeout: queueTimeout})
-	slot, err := adm.Acquire(context.Background())
-	if err != nil {
-		return err
-	}
-	defer slot.Release()
-	return f()
 }
 
 // withTimeout bounds f's wall-clock time, reporting overrun as the same

@@ -3,7 +3,6 @@ package els_test
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"testing"
 
 	"repro/internal/chaos"
@@ -33,7 +32,7 @@ func TestCrashRecoverySoak(t *testing.T) {
 		cfg.LogW = logF
 	}
 
-	before := goroutineCount()
+	checkLeaks := leakCheck(t, 0)
 	rep, err := chaos.RunCrash(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -69,12 +68,7 @@ func TestCrashRecoverySoak(t *testing.T) {
 			t.Errorf("writing CRASH_DIGEST: %v", err)
 		}
 	}
-
-	if after := goroutineCount(); after > before {
-		buf := make([]byte, 1<<20)
-		t.Fatalf("goroutine leak: %d before soak, %d after\n%s",
-			before, after, buf[:runtime.Stack(buf, true)])
-	}
+	checkLeaks()
 }
 
 // TestCrashRecoveryDeterministic pins that the deterministic soak mode is

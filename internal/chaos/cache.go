@@ -3,12 +3,10 @@ package chaos
 import (
 	"fmt"
 	"reflect"
-	"sync"
 	"time"
 
 	els "repro"
 	"repro/internal/querygen"
-	"repro/internal/workpool"
 )
 
 // cachePool is the statement pool the cache soak re-issues. It includes
@@ -30,14 +28,8 @@ var cachePool = append([]string{versionProbeSQL}, stormSQL...)
 // proved deterministically: the same statement estimated twice must count
 // a cache hit and return a bit-identical estimate.
 func RunCacheSoak(cfg Config) (*Report, error) {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 8
-	}
 	if cfg.OpsPerWorker <= 0 {
 		cfg.OpsPerWorker = 60
-	}
-	if cfg.MaxConcurrent <= 0 {
-		cfg.MaxConcurrent = 4
 	}
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 16
@@ -45,42 +37,24 @@ func RunCacheSoak(cfg Config) (*Report, error) {
 	if cfg.QueueTimeout <= 0 {
 		cfg.QueueTimeout = 200 * time.Millisecond
 	}
-
-	h := &harness{
-		cfg:         cfg,
-		sys:         els.New(),
-		versionCard: make(map[uint64]float64),
-		errsByClass: make(map[string]int),
-	}
-	if err := h.seed(); err != nil {
+	h, err := newHarness("cache", cfg)
+	if err != nil {
 		return nil, err
 	}
-	h.sys.SetLimits(els.Limits{
-		MaxConcurrent: cfg.MaxConcurrent,
-		MaxQueue:      cfg.MaxQueue,
-		QueueTimeout:  cfg.QueueTimeout,
-		Workers:       2,
-	})
 
 	stop := make(chan struct{})
-	onPanic := func(err error) {
-		h.violation(fmt.Sprintf("cache soak: background goroutine failed: %v", err))
-	}
-	var background sync.WaitGroup
-	workpool.Go(&background, onPanic, func() error { h.mutator(stop); return nil })
-
-	var workers sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		w := w
-		workpool.Go(&workers, onPanic, func() error { h.cacheWorker(w); return nil })
+	background := h.fleet("cache soak: background")
+	background.Go(func() { h.mutator(stop) })
+	workers := h.fleet("cache soak: worker")
+	for w := 0; w < h.cfg.Workers; w++ {
+		workers.Go(func() { h.cacheWorker(w) })
 	}
 	workers.Wait()
 	close(stop)
 	background.Wait()
 
 	h.warmAudit()
-	h.audit()
-	return h.report(), nil
+	return h.audit(), nil
 }
 
 // cacheWorker re-issues statements from the pool on a Zipf schedule, so a
@@ -98,11 +72,9 @@ func (h *harness) cacheWorker(id int) {
 		}
 		est, err := h.sys.Estimate(sql, algo)
 		if err == nil && sql == versionProbeSQL && algo == els.AlgorithmELS {
-			h.mu.Lock()
-			h.observations = append(h.observations, observation{est.CatalogVersion, est.FinalSize})
-			h.mu.Unlock()
+			h.observe("", est.CatalogVersion, est.FinalSize)
 		}
-		h.record(id, "estimate-cached", err)
+		h.record(fmt.Sprintf("worker %d", id), "estimate-cached", err)
 	}
 }
 
@@ -113,19 +85,18 @@ func (h *harness) warmAudit() {
 	before := h.sys.CacheStats()
 	first, err := h.sys.Estimate(versionProbeSQL, els.AlgorithmELS)
 	if err != nil {
-		h.violation(fmt.Sprintf("warm audit: cold estimate failed: %v", err))
+		h.violation("warm audit: cold estimate failed: %v", err)
 		return
 	}
 	second, err := h.sys.Estimate(versionProbeSQL, els.AlgorithmELS)
 	if err != nil {
-		h.violation(fmt.Sprintf("warm audit: warm estimate failed: %v", err))
+		h.violation("warm audit: warm estimate failed: %v", err)
 		return
 	}
-	after := h.sys.CacheStats()
-	if after.Hits == before.Hits {
+	if h.sys.CacheStats().Hits == before.Hits {
 		h.violation("warm audit: repeating a statement at a quiesced version produced no cache hit")
 	}
 	if !reflect.DeepEqual(first, second) {
-		h.violation(fmt.Sprintf("warm audit: cached estimate differs from cold one:\n  cold %+v\n  warm %+v", first, second))
+		h.violation("warm audit: cached estimate differs from cold one:\n  cold %+v\n  warm %+v", first, second)
 	}
 }

@@ -1,15 +1,23 @@
-// Package chaos is the soak harness for the serving layer: seeded worker
-// fleets issue queries concurrently while one goroutine mutates the
-// catalog and another arms fault-injection probes with errors, panics, and
-// latency. Run drives the storm end to end and audits the system's
-// contracts afterwards:
+// Package chaos is the soak harness for the serving layer. Every storm is
+// a scenario declared on one small kernel (kernel.go) that owns the
+// scaffolding they share: the JSONL event log (each line stamped with the
+// scenario and seed), the violation recorder, the error classifier, the
+// panic-safe goroutine fleet, the stop-aware pause, wire dial/redial, the
+// published-version ledger behind the torn-read audits, and the
+// end-of-run audits for admission slots, leaked spill files, and catalog
+// digests. The scenarios:
 //
-//   - every error belongs to the public taxonomy (no raw internal errors
-//     escape),
-//   - every estimate is consistent with exactly one published catalog
-//     version (no torn reads across a concurrent statistics refresh),
-//   - Close drains to zero in-flight queries with no admission-slot
-//     accounting drift.
+//   - Run: worker fleets query concurrently while a mutator republishes
+//     the catalog and a faulter arms errors, panics, and latency;
+//   - RunCacheSoak: the same storm aimed at the plan cache, without faults;
+//   - RunCrash: simulated process kills at the durable layer's probe
+//     points, each followed by an audited recovery;
+//   - RunReplication: WAL shipping to a replica fleet under link, disk,
+//     and divergence faults;
+//   - RunServer: a multi-tenant wire server under client swarms,
+//     saboteurs, overload, quarantine, and a drain/restart;
+//   - RunMemoryPressure: an under-budgeted hog tenant beside healthy
+//     neighbors on one memory pool.
 //
 // Everything is seeded, so a failing storm replays deterministically
 // (modulo goroutine scheduling) from its seed.
@@ -17,19 +25,15 @@ package chaos
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
-	"sync"
 	"time"
 
 	els "repro"
 	"repro/internal/cardest"
 	"repro/internal/executor"
 	"repro/internal/faultinject"
-	"repro/internal/workpool"
 )
 
 // Config shapes one chaos storm. The zero value is usable: Run fills in
@@ -54,13 +58,14 @@ type Config struct {
 	// exercises breaker trips and half-open probes.
 	Breaker els.BreakerPolicy
 	// LogW, if non-nil, receives one JSON line per event (operations,
-	// faults armed, catalog mutations) — the artifact to attach to a CI
-	// run for post-mortem debugging.
+	// faults armed, catalog mutations, violations) — the artifact to attach
+	// to a CI run for post-mortem debugging.
 	LogW io.Writer
 }
 
 // Report is the audited outcome of a storm.
 type Report struct {
+	Verdict
 	// Ops is the total number of operations issued; Succeeded counts the
 	// ones that returned no error.
 	Ops, Succeeded int
@@ -71,9 +76,6 @@ type Report struct {
 	// Observations counts version-consistency data points collected (each
 	// one an estimate checked against the catalog version it claims).
 	Observations int
-	// Violations lists every contract breach the audit found. A clean
-	// storm has none.
-	Violations []string
 	// Stats is the system's serving-layer counters after Close.
 	Stats els.RobustnessStats
 	// Cache is the plan-cache counters after Close. The torn-read audit
@@ -82,9 +84,6 @@ type Report struct {
 	// CatalogVersion would surface as a torn read.
 	Cache els.CacheStats
 }
-
-// Failed reports whether the storm breached any contract.
-func (r *Report) Failed() bool { return len(r.Violations) > 0 }
 
 // versionProbeSQL estimates the mutating table with no predicates, so the
 // estimate must equal the cardinality published for the pinned version.
@@ -96,42 +95,28 @@ var stormSQL = []string{
 	"SELECT COUNT(*) FROM R, S WHERE R.a = S.a AND S.c = 2",
 }
 
-// observation is one (pinned version, estimate) data point to audit.
-type observation struct {
-	version uint64
-	size    float64
-}
-
-// harness carries the storm's shared state.
+// harness is an in-process storm (Run and RunCacheSoak) on one System.
 type harness struct {
+	*kernel
 	cfg Config
 	sys *els.System
-
-	//lockorder:level 5
-	mu           sync.Mutex
-	versionCard  map[uint64]float64 // version -> published card of V
-	observations []observation
-	errsByClass  map[string]int
-	violations   []string
-	ops          int
-	succeeded    int
-
-	//lockorder:level 70
-	logMu sync.Mutex
 }
 
-// Run executes one storm and audits it. The returned error reports a
-// harness malfunction (e.g. seed data failed to load); contract breaches
-// are reported in Report.Violations, not as an error.
+// Run executes one storm and audits it:
+//
+//   - every error belongs to the public taxonomy (no raw internal errors
+//     escape),
+//   - every estimate is consistent with exactly one published catalog
+//     version (no torn reads across a concurrent statistics refresh),
+//   - Close drains to zero in-flight queries with no admission-slot
+//     accounting drift.
+//
+// The returned error reports a harness malfunction (e.g. seed data failed
+// to load); contract breaches are reported in Report.Violations, not as an
+// error.
 func Run(cfg Config) (*Report, error) {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 8
-	}
 	if cfg.OpsPerWorker <= 0 {
 		cfg.OpsPerWorker = 50
-	}
-	if cfg.MaxConcurrent <= 0 {
-		cfg.MaxConcurrent = 4
 	}
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 8
@@ -139,23 +124,10 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.QueueTimeout <= 0 {
 		cfg.QueueTimeout = 50 * time.Millisecond
 	}
-
-	h := &harness{
-		cfg:         cfg,
-		sys:         els.New(),
-		versionCard: make(map[uint64]float64),
-		errsByClass: make(map[string]int),
-	}
-	if err := h.seed(); err != nil {
+	h, err := newHarness("soak", cfg)
+	if err != nil {
 		return nil, err
 	}
-
-	h.sys.SetLimits(els.Limits{
-		MaxConcurrent: cfg.MaxConcurrent,
-		MaxQueue:      cfg.MaxQueue,
-		QueueTimeout:  cfg.QueueTimeout,
-		Workers:       2,
-	})
 	if cfg.Retry.Enabled() {
 		h.sys.SetRetryPolicy(cfg.Retry)
 	}
@@ -163,52 +135,50 @@ func Run(cfg Config) (*Report, error) {
 		h.sys.SetBreaker(cfg.Breaker)
 	}
 
-	// All storm goroutines run under workpool.Go: a panic in a harness
-	// goroutine is recovered into an error and recorded as a violation
-	// instead of crashing the soak run.
 	stop := make(chan struct{})
-	onPanic := func(err error) {
-		h.violation(fmt.Sprintf("chaos: background goroutine failed: %v", err))
-	}
-	var background sync.WaitGroup
-	workpool.Go(&background, onPanic, func() error { h.mutator(stop); return nil })
-	workpool.Go(&background, onPanic, func() error { h.faulter(stop); return nil })
-
-	var workers sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		w := w
-		workpool.Go(&workers, onPanic, func() error { h.worker(w); return nil })
+	background := h.fleet("chaos: background")
+	background.Go(func() { h.mutator(stop) })
+	background.Go(func() { h.faulter(stop) })
+	workers := h.fleet("chaos: worker")
+	for w := 0; w < h.cfg.Workers; w++ {
+		workers.Go(func() { h.worker(w) })
 	}
 	workers.Wait()
 	close(stop)
 	background.Wait()
 	faultinject.Reset()
 
-	h.audit()
-	return h.report(), nil
+	return h.audit(), nil
 }
 
-// seed loads the static tables the storm queries and publishes the first
-// version of the mutating table V.
-func (h *harness) seed() error {
-	mkRows := func(n, dom int) [][]int64 {
-		rows := make([][]int64, n)
-		for i := range rows {
-			rows[i] = []int64{int64(i % dom), int64(i % 7)}
-		}
-		return rows
+// newHarness applies the defaults Run and RunCacheSoak share, loads the
+// static tables the storm queries, publishes the first version of the
+// mutating table V, and installs the admission limits.
+func newHarness(scenario string, cfg Config) (*harness, error) {
+	if cfg.Workers <= 0 {
+		cfg.Workers = 8
 	}
-	if err := h.sys.LoadTable("R", []string{"a", "b"}, mkRows(200, 10)); err != nil {
-		return fmt.Errorf("chaos: seeding R: %w", err)
+	if cfg.MaxConcurrent <= 0 {
+		cfg.MaxConcurrent = 4
 	}
-	if err := h.sys.LoadTable("S", []string{"a", "c"}, mkRows(300, 10)); err != nil {
-		return fmt.Errorf("chaos: seeding S: %w", err)
+	h := &harness{kernel: newKernel(scenario, cfg.Seed, cfg.LogW, inProcessSet), cfg: cfg, sys: els.New()}
+	if err := h.sys.LoadTable("R", []string{"a", "b"}, rows(200, 10)); err != nil {
+		return nil, fmt.Errorf("chaos: seeding R: %w", err)
+	}
+	if err := h.sys.LoadTable("S", []string{"a", "c"}, rows(300, 10)); err != nil {
+		return nil, fmt.Errorf("chaos: seeding S: %w", err)
 	}
 	if err := h.sys.DeclareStats("V", 1000, map[string]float64{"x": 10}); err != nil {
-		return fmt.Errorf("chaos: seeding V: %w", err)
+		return nil, fmt.Errorf("chaos: seeding V: %w", err)
 	}
-	h.versionCard[h.sys.CatalogVersion()] = 1000
-	return nil
+	h.publish("", h.sys.CatalogVersion(), 1000)
+	h.sys.SetLimits(els.Limits{
+		MaxConcurrent: cfg.MaxConcurrent,
+		MaxQueue:      cfg.MaxQueue,
+		QueueTimeout:  cfg.QueueTimeout,
+		Workers:       2,
+	})
+	return h, nil
 }
 
 // mutator republishes V's statistics with a version-correlated cardinality
@@ -225,15 +195,11 @@ func (h *harness) mutator(stop <-chan struct{}) {
 		}
 		card := float64(1000 + i)
 		if err := h.sys.DeclareStats("V", card, map[string]float64{"x": 10}); err != nil {
-			h.violation(fmt.Sprintf("mutator: DeclareStats failed mid-storm: %v", err))
+			h.violation("mutator: DeclareStats failed mid-storm: %v", err)
 			return
 		}
-		v := h.sys.CatalogVersion()
-		h.mu.Lock()
-		h.versionCard[v] = card
-		h.mu.Unlock()
-		h.logEvent(map[string]any{"event": "publish", "version": v, "card": card})
-		sleep(stop, time.Duration(rng.Intn(3)+1)*time.Millisecond)
+		h.publish("", h.sys.CatalogVersion(), card)
+		pause(stop, time.Duration(rng.Intn(3)+1)*time.Millisecond)
 	}
 }
 
@@ -270,8 +236,8 @@ func (h *harness) faulter(stop <-chan struct{}) {
 			f.Delay = time.Duration(rng.Intn(2)+1) * time.Millisecond
 		}
 		faultinject.Enable(point, f)
-		h.logEvent(map[string]any{"event": "fault", "point": point, "kind": kind, "times": f.Times})
-		sleep(stop, time.Duration(rng.Intn(4)+1)*time.Millisecond)
+		h.event("fault", "point", point, "kind", kind, "times", f.Times)
+		pause(stop, time.Duration(rng.Intn(4)+1)*time.Millisecond)
 	}
 }
 
@@ -289,9 +255,7 @@ func (h *harness) worker(id int) {
 			var est *els.Estimate
 			est, err = h.sys.Estimate(versionProbeSQL, els.AlgorithmELS)
 			if err == nil {
-				h.mu.Lock()
-				h.observations = append(h.observations, observation{est.CatalogVersion, est.FinalSize})
-				h.mu.Unlock()
+				h.observe("", est.CatalogVersion, est.FinalSize)
 			}
 		case 1:
 			opName = "query"
@@ -310,122 +274,24 @@ func (h *harness) worker(id int) {
 			_, err = h.sys.QueryContext(ctx, stormSQL[rng.Intn(len(stormSQL))], els.AlgorithmELS)
 			cancel()
 		}
-		h.record(id, opName, err)
+		h.record(fmt.Sprintf("worker %d", id), opName, err)
 	}
 }
 
-// taxonomy maps every public sentinel to its name for classification.
-var taxonomy = []struct {
-	name string
-	err  error
-}{
-	{"canceled", els.ErrCanceled},
-	{"budget", els.ErrBudgetExceeded},
-	{"bad-stats", els.ErrBadStats},
-	{"parse", els.ErrParse},
-	{"overloaded", els.ErrOverloaded},
-	{"closed", els.ErrClosed},
-	{"internal", els.ErrInternal},
-}
-
-// record classifies one operation outcome; an error outside the taxonomy
-// is a contract violation.
-func (h *harness) record(worker int, op string, err error) {
-	h.mu.Lock()
-	h.ops++
-	class := "ok"
-	if err == nil {
-		h.succeeded++
-	} else {
-		class = ""
-		for _, t := range taxonomy {
-			if errors.Is(err, t.err) {
-				class = t.name
-				break
-			}
-		}
-		if class == "" {
-			class = "UNCLASSIFIED"
-			h.violations = append(h.violations,
-				fmt.Sprintf("worker %d %s: error outside the taxonomy: %v", worker, op, err))
-		}
-		h.errsByClass[class]++
-	}
-	h.mu.Unlock()
-	h.logEvent(map[string]any{"event": "op", "worker": worker, "op": op, "class": class})
-}
-
-func (h *harness) violation(msg string) {
-	h.mu.Lock()
-	h.violations = append(h.violations, msg)
-	h.mu.Unlock()
-}
-
-// audit drains the system and checks the end-of-storm contracts.
-func (h *harness) audit() {
-	//ctxflow:allow end-of-storm drain runs after every caller context is gone
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := h.sys.Close(ctx); err != nil {
-		h.violation(fmt.Sprintf("Close did not drain cleanly: %v", err))
+// audit drains the system, checks the end-of-storm contracts, and builds
+// the report.
+func (h *harness) audit() *Report {
+	if err := drain(h.sys); err != nil {
+		h.violation("Close did not drain cleanly: %v", err)
 	}
 	st := h.sys.RobustnessStats()
-	if st.InFlight != 0 || st.Waiting != 0 {
-		h.violation(fmt.Sprintf("slot accounting drift after drain: in-flight %d, waiting %d",
-			st.InFlight, st.Waiting))
-	}
+	h.auditSlots("the system", st.InFlight, st.Waiting)
+	h.auditTornReads(true, nil)
+
+	rep := &Report{Verdict: h.verdict(), Stats: st, Cache: h.sys.CacheStats()}
+	rep.VersionsPublished, rep.Observations = h.ledger()
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, obs := range h.observations {
-		card, ok := h.versionCard[obs.version]
-		if !ok {
-			h.violations = append(h.violations,
-				fmt.Sprintf("estimate pinned catalog version %d, which was never published", obs.version))
-			continue
-		}
-		if obs.size != card {
-			h.violations = append(h.violations,
-				fmt.Sprintf("torn read: estimate %g under catalog version %d, which published card %g",
-					obs.size, obs.version, card))
-		}
-	}
-}
-
-func (h *harness) report() *Report {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return &Report{
-		Ops:               h.ops,
-		Succeeded:         h.succeeded,
-		ErrorsByClass:     h.errsByClass,
-		VersionsPublished: len(h.versionCard),
-		Observations:      len(h.observations),
-		Violations:        h.violations,
-		Stats:             h.sys.RobustnessStats(),
-		Cache:             h.sys.CacheStats(),
-	}
-}
-
-// logEvent writes one JSONL record to the configured event log.
-func (h *harness) logEvent(fields map[string]any) {
-	if h.cfg.LogW == nil {
-		return
-	}
-	h.logMu.Lock()
-	defer h.logMu.Unlock()
-	b, err := json.Marshal(fields)
-	if err != nil {
-		return
-	}
-	h.cfg.LogW.Write(append(b, '\n'))
-}
-
-// sleep waits d or until stop closes, whichever comes first.
-func sleep(stop <-chan struct{}, d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-stop:
-	}
+	rep.Ops, rep.Succeeded, rep.ErrorsByClass = h.ops, h.succeeded, h.errsByClass
+	h.mu.Unlock()
+	return rep
 }

@@ -1,23 +1,17 @@
 package chaos
 
 import (
-	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
-	"strings"
 	"sync"
 	"time"
 
 	els "repro"
 	"repro/internal/durable"
 	"repro/internal/faultinject"
-	"repro/internal/workpool"
 )
 
 // CrashConfig shapes one crash-recovery soak: a mutator fleet hammers a
@@ -56,6 +50,7 @@ type CrashConfig struct {
 
 // CrashReport is the audited outcome of a crash soak.
 type CrashReport struct {
+	Verdict
 	// Rounds is the number of open→storm→shutdown cycles completed.
 	Rounds int
 	// Crashes counts rounds that ended in an injected durability crash;
@@ -76,17 +71,12 @@ type CrashReport struct {
 	// against their pre-crash values at the same catalog version.
 	BitIdenticalChecks int
 	// FinalVersion is the catalog version after the last recovery, and
-	// Digest is the SHA-256 of the recovered catalog's canonical stats
-	// export — the artifact CI archives to prove two runs of the same seed
-	// recovered identical catalogs.
+	// Digest is the recovered catalog's System.CatalogDigest — the artifact
+	// CI archives to prove two runs of the same seed recovered identical
+	// catalogs.
 	FinalVersion uint64
 	Digest       string
-	// Violations lists every contract breach. A clean soak has none.
-	Violations []string
 }
-
-// Failed reports whether the soak breached any contract.
-func (r *CrashReport) Failed() bool { return len(r.Violations) > 0 }
 
 // crashPoints are the durable layer's probe points, each one instant a
 // real process can die at: mid-WAL-record, pre-fsync, mid-checkpoint-write,
@@ -110,18 +100,13 @@ type crashState struct {
 	poisoned bool               // whether an injected crash landed
 }
 
-// crashHarness carries one soak's state across rounds.
+// crashHarness carries one soak's state across rounds; the kernel's mu
+// guards maxTried and report.
 type crashHarness struct {
-	cfg CrashConfig
-
-	//lockorder:level 5
-	mu         sync.Mutex
-	maxTried   map[string]float64 // persists across rounds
-	violations []string
-	report     CrashReport
-
-	//lockorder:level 70
-	logMu sync.Mutex
+	*kernel
+	cfg      CrashConfig
+	maxTried map[string]float64 // persists across rounds
+	report   CrashReport
 }
 
 // RunCrash executes one crash-recovery soak. The returned error reports a
@@ -142,15 +127,12 @@ func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 	if cfg.Deterministic {
 		cfg.Mutators = 1
 	}
-	h := &crashHarness{cfg: cfg, maxTried: make(map[string]float64)}
+	h := &crashHarness{kernel: newKernel("crash", cfg.Seed, cfg.LogW, nil), cfg: cfg, maxTried: make(map[string]float64)}
 
 	var prev *crashState
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for round := 0; round < cfg.Rounds; round++ {
-		state, err := h.round(round, rng.Int63(), prev)
-		if err != nil {
-			return nil, err
-		}
+		state := h.round(round, rng.Int63(), prev)
 		if state == nil { // recovery violation already recorded; cannot continue
 			break
 		}
@@ -160,38 +142,38 @@ func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 	faultinject.Reset()
 
 	// Final audit: one last recovery of the directory, digested.
-	sys, err := els.Open(cfg.Dir)
-	if err != nil {
-		h.violation(fmt.Sprintf("final recovery failed: %v", err))
+	if sys, err := els.Open(cfg.Dir); err != nil {
+		h.violation("final recovery failed: %v", err)
 	} else {
-		h.report.FinalVersion = sys.CatalogVersion()
-		var buf strings.Builder
-		if err := sys.ExportStats(&buf); err != nil {
-			h.violation(fmt.Sprintf("final export failed: %v", err))
-		} else {
-			sum := sha256.Sum256([]byte(buf.String()))
-			h.report.Digest = hex.EncodeToString(sum[:])
-		}
-		closeQuietly(sys)
+		h.report.FinalVersion, h.report.Digest, _ = h.digest("final recovered catalog", sys)
+		drain(sys)
 	}
 
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.report.Violations = h.violations
 	out := h.report
+	out.Verdict = h.verdict()
 	return &out, nil
+}
+
+// bump claims the next card in table's strictly increasing sequence.
+func (h *crashHarness) bump(table string) (card float64) {
+	h.mu.Lock()
+	card = h.maxTried[table] + 1
+	h.maxTried[table] = card
+	h.mu.Unlock()
+	return card
 }
 
 // round opens the directory (auditing recovery against prev), runs one
 // mutator storm until an injected crash lands or the mutation budget runs
-// out, captures the pre-shutdown state, and closes.
-func (h *crashHarness) round(round int, seed int64, prev *crashState) (*crashState, error) {
+// out, captures the pre-shutdown state, and closes. A nil state means the
+// soak cannot continue.
+func (h *crashHarness) round(round int, seed int64, prev *crashState) *crashState {
 	sys, err := els.Open(h.cfg.Dir)
 	if err != nil {
-		h.violation(fmt.Sprintf("round %d: recovery failed: %v", round, err))
-		return nil, nil
+		h.violation("round %d: recovery failed: %v", round, err)
+		return nil
 	}
-	defer closeQuietly(sys)
+	defer drain(sys)
 	h.auditRecovery(round, sys, prev)
 
 	// Seed any mutator table recovery did not bring back (only the first
@@ -201,13 +183,9 @@ func (h *crashHarness) round(round int, seed int64, prev *crashState) (*crashSta
 		if _, err := sys.TableCard(table); err == nil {
 			continue
 		}
-		h.mu.Lock()
-		card := h.maxTried[table] + 1
-		h.maxTried[table] = card
-		h.mu.Unlock()
-		if err := sys.DeclareStats(table, card, map[string]float64{"x": 10}); err != nil {
-			h.violation(fmt.Sprintf("round %d: seeding %s failed: %v", round, table, err))
-			return nil, nil
+		if err := sys.DeclareStats(table, h.bump(table), map[string]float64{"x": 10}); err != nil {
+			h.violation("round %d: seeding %s failed: %v", round, table, err)
+			return nil
 		}
 		h.mu.Lock()
 		h.report.MutationsAcked++
@@ -222,10 +200,9 @@ func (h *crashHarness) round(round int, seed int64, prev *crashState) (*crashSta
 	crashed := make(chan struct{})
 	var crashOnce sync.Once
 	noteCrash := func() { crashOnce.Do(func() { close(crashed) }) }
-	onPanic := func(err error) {
-		h.violation(fmt.Sprintf("round %d: background goroutine failed: %v", round, err))
-		noteCrash()
-	}
+	label := fmt.Sprintf("round %d", round)
+	background, readers, mutators := h.fleet(label), h.fleet(label), h.fleet(label)
+	background.onFail, readers.onFail, mutators.onFail = noteCrash, noteCrash, noteCrash
 
 	// Each round injects at most one simulated kill, at a random durable
 	// probe point. ShortWrite -1 means the faulted write completes before
@@ -241,61 +218,56 @@ func (h *crashHarness) round(round int, seed int64, prev *crashState) (*crashSta
 			Times:   1,
 			Payload: faultinject.DiskFault{ShortWrite: short},
 		})
-		h.logEvent(map[string]any{"event": "arm", "round": round, "point": point, "short": short})
+		h.event("arm", "round", round, "point", point, "short", short)
 	}
 
-	var background sync.WaitGroup
 	readerStop := make(chan struct{})
-	var readers sync.WaitGroup
 	if !h.cfg.Deterministic {
-		workpool.Go(&background, onPanic, func() error {
-			sleep(crashed, delay)
+		background.Go(func() {
+			pause(crashed, delay)
 			select {
 			case <-crashed:
-				return nil
 			default:
+				arm()
 			}
-			arm()
-			return nil
 		})
 
 		// A checkpointer exercises explicit compaction so the checkpoint
 		// crash points are reachable even in CheckpointEvery=0 rounds.
-		workpool.Go(&background, onPanic, func() error {
+		background.Go(func() {
 			r := rand.New(rand.NewSource(seed + 1))
 			for {
-				sleep(crashed, time.Duration(r.Intn(6)+2)*time.Millisecond)
+				pause(crashed, time.Duration(r.Intn(6)+2)*time.Millisecond)
 				select {
 				case <-crashed:
-					return nil
+					return
 				default:
 				}
 				if err := sys.Checkpoint(); err != nil {
 					if !errors.Is(err, els.ErrDurability) {
-						h.violation(fmt.Sprintf("round %d: checkpoint error outside taxonomy: %v", round, err))
+						h.violation("round %d: checkpoint error outside taxonomy: %v", round, err)
 					}
 					noteCrash()
-					return nil
+					return
 				}
 			}
 		})
 
 		// Readers estimate continuously; reads must keep working through
 		// mutation traffic and even on a frozen (post-crash) catalog.
+		probes := h.probeSQL()
 		for r := 0; r < 2; r++ {
-			r := r
-			workpool.Go(&readers, onPanic, func() error {
+			readers.Go(func() {
 				rg := rand.New(rand.NewSource(seed + 100 + int64(r)))
 				for {
 					select {
 					case <-readerStop:
-						return nil
+						return
 					default:
 					}
-					sql := h.probeSQL()[rg.Intn(len(h.probeSQL()))]
-					if _, err := sys.Estimate(sql, els.AlgorithmELS); err != nil {
-						h.violation(fmt.Sprintf("round %d: read failed mid-storm: %v", round, err))
-						return nil
+					if _, err := sys.Estimate(probes[rg.Intn(len(probes))], els.AlgorithmELS); err != nil {
+						h.violation("round %d: read failed mid-storm: %v", round, err)
+						return
 					}
 				}
 			})
@@ -305,25 +277,20 @@ func (h *crashHarness) round(round int, seed int64, prev *crashState) (*crashSta
 	// The mutator fleet: each mutator owns one table and republishes it
 	// with a strictly increasing cardinality — the monotonic sequence the
 	// recovery audit leans on.
-	var fleet sync.WaitGroup
 	for m := 0; m < h.cfg.Mutators; m++ {
-		m := m
-		workpool.Go(&fleet, onPanic, func() error {
+		mutators.Go(func() {
 			table := fmt.Sprintf("m%d", m)
 			r := rand.New(rand.NewSource(seed + 200 + int64(m)))
 			for i := 0; i < h.cfg.MutationsPerMutator; i++ {
 				select {
 				case <-crashed:
-					return nil
+					return
 				default:
 				}
 				if h.cfg.Deterministic && i == detCrashAt {
 					arm()
 				}
-				h.mu.Lock()
-				card := h.maxTried[table] + 1
-				h.maxTried[table] = card
-				h.mu.Unlock()
+				card := h.bump(table)
 				err := sys.DeclareStats(table, card, map[string]float64{"x": 10})
 				switch {
 				case err == nil:
@@ -331,22 +298,21 @@ func (h *crashHarness) round(round int, seed int64, prev *crashState) (*crashSta
 					h.report.MutationsAcked++
 					h.mu.Unlock()
 				case errors.Is(err, els.ErrDurability):
-					h.logEvent(map[string]any{"event": "crash", "round": round, "table": table, "card": card})
+					h.event("crash", "round", round, "table", table, "card", card)
 					noteCrash()
-					return nil
+					return
 				default:
-					h.violation(fmt.Sprintf("round %d: mutation error outside taxonomy: %v", round, err))
+					h.violation("round %d: mutation error outside taxonomy: %v", round, err)
 					noteCrash()
-					return nil
+					return
 				}
 				if !h.cfg.Deterministic && r.Intn(4) == 0 {
-					sleep(crashed, time.Millisecond)
+					pause(crashed, time.Millisecond)
 				}
 			}
-			return nil
 		})
 	}
-	fleet.Wait()
+	mutators.Wait()
 	noteCrash() // budget exhausted counts as the end of the round
 	background.Wait()
 	close(readerStop)
@@ -354,16 +320,14 @@ func (h *crashHarness) round(round int, seed int64, prev *crashState) (*crashSta
 	faultinject.Reset() // disarm a fault that never fired
 
 	state := h.capture(round, sys)
+	h.mu.Lock()
 	if state.poisoned {
-		h.mu.Lock()
 		h.report.Crashes++
-		h.mu.Unlock()
 	} else {
-		h.mu.Lock()
 		h.report.CleanShutdowns++
-		h.mu.Unlock()
 	}
-	return state, nil
+	h.mu.Unlock()
+	return state
 }
 
 // probeSQL returns the estimate probes replayed after recovery for the
@@ -405,18 +369,17 @@ func (h *crashHarness) capture(round int, sys *els.System) *crashState {
 	for _, sql := range h.probeSQL() {
 		est, err := sys.Estimate(sql, els.AlgorithmELS)
 		if err != nil {
-			h.violation(fmt.Sprintf("round %d: pre-shutdown probe failed: %v", round, err))
+			h.violation("round %d: pre-shutdown probe failed: %v", round, err)
 			continue
 		}
 		if est.CatalogVersion != st.version {
-			h.violation(fmt.Sprintf("round %d: pre-shutdown probe pinned version %d, catalog is at %d",
-				round, est.CatalogVersion, st.version))
+			h.violation("round %d: pre-shutdown probe pinned version %d, catalog is at %d",
+				round, est.CatalogVersion, st.version)
 			continue
 		}
 		st.probes[sql] = math.Float64bits(est.FinalSize)
 	}
-	h.logEvent(map[string]any{"event": "shutdown", "round": round,
-		"version": st.version, "poisoned": st.poisoned})
+	h.event("shutdown", "round", round, "version", st.version, "poisoned", st.poisoned)
 	return st
 }
 
@@ -447,19 +410,16 @@ func (h *crashHarness) auditRecovery(round int, sys *els.System, prev *crashStat
 		maxV++ // the in-flight record may have survived
 	}
 	if rv < prev.version || rv > maxV {
-		h.violation(fmt.Sprintf("round %d: recovered version %d outside [%d, %d]",
-			round, rv, prev.version, maxV))
+		h.violation("round %d: recovered version %d outside [%d, %d]", round, rv, prev.version, maxV)
 		return
 	}
-	h.logEvent(map[string]any{"event": "recovered", "round": round,
-		"version": rv, "ahead": rv - prev.version})
+	h.event("recovered", "round", round, "version", rv, "ahead", rv-prev.version)
 
 	diffs := 0
 	for table, acked := range prev.cards {
 		got, err := sys.TableCard(table)
 		if err != nil {
-			h.violation(fmt.Sprintf("round %d: acknowledged table %s vanished in recovery: %v",
-				round, table, err))
+			h.violation("round %d: acknowledged table %s vanished in recovery: %v", round, table, err)
 			continue
 		}
 		if got == acked {
@@ -467,71 +427,38 @@ func (h *crashHarness) auditRecovery(round int, sys *els.System, prev *crashStat
 		}
 		diffs++
 		if got < acked {
-			h.violation(fmt.Sprintf("round %d: table %s regressed below its acknowledged card: %g < %g",
-				round, table, got, acked))
+			h.violation("round %d: table %s regressed below its acknowledged card: %g < %g",
+				round, table, got, acked)
 		} else if got > prev.maxTried[table] {
-			h.violation(fmt.Sprintf("round %d: table %s recovered card %g was never even attempted (max tried %g)",
-				round, table, got, prev.maxTried[table]))
+			h.violation("round %d: table %s recovered card %g was never even attempted (max tried %g)",
+				round, table, got, prev.maxTried[table])
 		}
 	}
 	if diffs > 1 {
-		h.violation(fmt.Sprintf("round %d: %d tables diverged from their acknowledged stats; at most one mutation can be in flight",
-			round, diffs))
+		h.violation("round %d: %d tables diverged from their acknowledged stats; at most one mutation can be in flight",
+			round, diffs)
 	}
 	if rv == prev.version && diffs > 0 {
-		h.violation(fmt.Sprintf("round %d: recovered the acknowledged version %d but %d tables differ",
-			round, rv, diffs))
+		h.violation("round %d: recovered the acknowledged version %d but %d tables differ", round, rv, diffs)
 	}
 	if rv > prev.version {
 		h.mu.Lock()
 		h.report.RecoveredAhead++
 		h.mu.Unlock()
+		return
 	}
-
-	if rv == prev.version {
-		for sql, wantBits := range prev.probes {
-			est, err := sys.Estimate(sql, els.AlgorithmELS)
-			if err != nil {
-				h.violation(fmt.Sprintf("round %d: post-recovery probe failed: %v", round, err))
-				continue
-			}
-			h.mu.Lock()
-			h.report.BitIdenticalChecks++
-			h.mu.Unlock()
-			if got := math.Float64bits(est.FinalSize); got != wantBits {
-				h.violation(fmt.Sprintf("round %d: estimate %q not bit-identical after recovery: %x != %x (version %d)",
-					round, sql, got, wantBits, rv))
-			}
+	for sql, wantBits := range prev.probes {
+		est, err := sys.Estimate(sql, els.AlgorithmELS)
+		if err != nil {
+			h.violation("round %d: post-recovery probe failed: %v", round, err)
+			continue
+		}
+		h.mu.Lock()
+		h.report.BitIdenticalChecks++
+		h.mu.Unlock()
+		if got := math.Float64bits(est.FinalSize); got != wantBits {
+			h.violation("round %d: estimate %q not bit-identical after recovery: %x != %x (version %d)",
+				round, sql, got, wantBits, rv)
 		}
 	}
-}
-
-func (h *crashHarness) violation(msg string) {
-	h.mu.Lock()
-	h.violations = append(h.violations, msg)
-	h.mu.Unlock()
-	h.logEvent(map[string]any{"event": "violation", "msg": msg})
-}
-
-// logEvent writes one JSONL record to the configured event log.
-func (h *crashHarness) logEvent(fields map[string]any) {
-	if h.cfg.LogW == nil {
-		return
-	}
-	h.logMu.Lock()
-	defer h.logMu.Unlock()
-	b, err := json.Marshal(fields)
-	if err != nil {
-		return
-	}
-	h.cfg.LogW.Write(append(b, '\n'))
-}
-
-// closeQuietly drains a system with a bounded deadline, ignoring the
-// result (crash rounds close poisoned systems, where errors are expected).
-func closeQuietly(sys *els.System) {
-	//ctxflow:allow end-of-round drain runs after every caller context is gone
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	sys.Close(ctx)
 }

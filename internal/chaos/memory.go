@@ -2,23 +2,16 @@ package chaos
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"math/rand"
-	"path/filepath"
 	"sort"
-	"strings"
-	"sync"
 	"time"
 
 	els "repro"
-	"repro/internal/durable"
 	"repro/internal/server"
 	"repro/internal/wire"
-	"repro/internal/workpool"
 )
 
 // MemoryConfig shapes one memory-pressure storm: a deliberately
@@ -50,6 +43,7 @@ type MemoryConfig struct {
 
 // MemoryReport is the audited outcome of a memory-pressure storm.
 type MemoryReport struct {
+	Verdict
 	// HogOps counts the hog swarm's queries; HogSucceeded the ones that
 	// completed, HogShed the ones refused under memory-pool pressure
 	// (server-side count), and HogSpilled how many completed queries
@@ -65,27 +59,17 @@ type MemoryReport struct {
 	// SpillFiles lists *.spill paths still present under DataRoot after
 	// the drain — a clean storm leaks none.
 	SpillFiles []string
-	// Violations lists every contract breach. A clean storm has none.
-	Violations []string
 }
 
-// Failed reports whether the storm breached any contract.
-func (r *MemoryReport) Failed() bool { return len(r.Violations) > 0 }
-
-// memHarness carries the storm's shared state.
+// memHarness carries the storm's shared state; the kernel's mu guards the
+// counters.
 type memHarness struct {
-	cfg MemoryConfig
-
-	//lockorder:level 5
-	mu           sync.Mutex
+	*kernel
+	cfg          MemoryConfig
 	hogOps       int
 	hogSucceeded int
 	neighborOps  int
 	neighborLat  []time.Duration
-	violations   []string
-
-	//lockorder:level 70
-	logMu sync.Mutex
 }
 
 // Hog-tenant sizing: the per-query byte budget is far below the join's
@@ -96,6 +80,9 @@ const (
 	memHogBudget = 4 << 10  // per-query MaxMemory of the hog tenant
 	memPoolBytes = 48 << 10 // process pool; share = pool / 3 tenants
 )
+
+// memOpTimeout bounds each hog and neighbor wire call.
+const memOpTimeout = 15 * time.Second
 
 // RunMemoryPressure drives the memory-governance storm end to end: three
 // durable tenants behind one wire server share a process-wide memory
@@ -109,7 +96,8 @@ const (
 //   - the budget engages: the hog records pool sheds AND spilled
 //     queries — pressure was real, and the spill path actually ran;
 //   - nothing leaks: after the drain, no *.spill file survives anywhere
-//     under the data root and the server holds no connection.
+//     under the data root, and the server holds no connection and no
+//     admission slot.
 //
 // The returned error reports a harness malfunction; contract breaches
 // land in MemoryReport.Violations.
@@ -126,7 +114,7 @@ func RunMemoryPressure(ctx context.Context, cfg MemoryConfig) (*MemoryReport, er
 	if cfg.DataRoot == "" {
 		return nil, fmt.Errorf("chaos: RunMemoryPressure needs a DataRoot")
 	}
-	h := &memHarness{cfg: cfg}
+	h := &memHarness{kernel: newKernel("memory", cfg.Seed, cfg.LogW, nil), cfg: cfg}
 	report := &MemoryReport{}
 
 	srv, err := server.Start(ctx, h.memServerConfig())
@@ -134,25 +122,20 @@ func RunMemoryPressure(ctx context.Context, cfg MemoryConfig) (*MemoryReport, er
 		return nil, fmt.Errorf("chaos: starting server: %w", err)
 	}
 	addr := srv.Addr()
-	h.logEvent(map[string]any{"event": "memory_storm_start", "addr": addr,
-		"hog_budget": memHogBudget, "pool": memPoolBytes})
+	h.event("memory_storm_start", "addr", addr, "hog_budget", memHogBudget, "pool", memPoolBytes)
 
 	// The storm: the hog swarm and both neighbor swarms run concurrently,
 	// so the neighbors' latencies are measured under live hog pressure.
-	onPanic := func(err error) { h.violation(fmt.Sprintf("chaos: fleet goroutine failed: %v", err)) }
-	var fleet sync.WaitGroup
+	swarm := h.fleet("chaos: memory swarm")
 	for w := 0; w < cfg.HogWorkers; w++ {
-		w := w
-		workpool.Go(&fleet, onPanic, func() error { h.hogClient(ctx, addr, w); return nil })
+		swarm.Go(func() { h.hogClient(ctx, addr, w) })
 	}
 	for ti := 1; ti <= 2; ti++ {
-		ti := ti
 		for w := 0; w < cfg.NeighborWorkers; w++ {
-			w := w
-			workpool.Go(&fleet, onPanic, func() error { h.neighborClient(ctx, addr, ti, w); return nil })
+			swarm.Go(func() { h.neighborClient(ctx, addr, ti, w) })
 		}
 	}
-	fleet.Wait()
+	swarm.Wait()
 
 	// Server-side audit: the hog must have been shed by the pool AND have
 	// spilled completed queries; the neighbors must show neither.
@@ -164,12 +147,12 @@ func RunMemoryPressure(ctx context.Context, cfg MemoryConfig) (*MemoryReport, er
 			report.HogSpilled = ts.SpilledQueries
 		default:
 			if ts.MemSheds != 0 {
-				h.violation(fmt.Sprintf("neighbor %s was shed by the memory pool %d times: the hog's pressure crossed the bulkhead",
-					ts.Tenant, ts.MemSheds))
+				h.violation("neighbor %s was shed by the memory pool %d times: the hog's pressure crossed the bulkhead",
+					ts.Tenant, ts.MemSheds)
 			}
 			if ts.SpilledQueries != 0 {
-				h.violation(fmt.Sprintf("neighbor %s spilled %d queries despite having no byte budget",
-					ts.Tenant, ts.SpilledQueries))
+				h.violation("neighbor %s spilled %d queries despite having no byte budget",
+					ts.Tenant, ts.SpilledQueries)
 			}
 		}
 	}
@@ -180,36 +163,27 @@ func RunMemoryPressure(ctx context.Context, cfg MemoryConfig) (*MemoryReport, er
 		h.violation("no hog query spilled — the byte budget never forced the spill path")
 	}
 	if st.MemoryInUse != 0 {
-		h.violation(fmt.Sprintf("memory pool still holds %d bytes after the storm: a reservation leaked", st.MemoryInUse))
+		h.violation("memory pool still holds %d bytes after the storm: a reservation leaked", st.MemoryInUse)
 	}
 
-	// Drain, then sweep the data root for leaked spill files: every
-	// spilling query cleaned up after itself, crash or not.
+	// Drain, then audit what it left: every spilling query cleaned up after
+	// itself, crash or not.
 	drainCtx, cancel := context.WithTimeout(ctx, 15*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(drainCtx); err != nil {
-		h.violation(fmt.Sprintf("drain failed: %v", err))
+		h.violation("drain failed: %v", err)
 	}
-	filepath.WalkDir(cfg.DataRoot, func(path string, d fs.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && strings.HasSuffix(path, durable.SpillSuffix) {
-			report.SpillFiles = append(report.SpillFiles, path)
-		}
-		return nil
-	})
-	for _, f := range report.SpillFiles {
-		h.violation(fmt.Sprintf("leaked spill file after drain: %s", f))
-	}
+	report.SpillFiles = h.auditDrained(srv, cfg.DataRoot)
 
 	h.mu.Lock()
 	report.HogOps = h.hogOps
 	report.HogSucceeded = h.hogSucceeded
 	report.NeighborOps = h.neighborOps
 	report.NeighborP99Millis = latQuantile(h.neighborLat, 0.99)
-	report.Violations = h.violations
 	h.mu.Unlock()
-	h.logEvent(map[string]any{"event": "memory_storm_done",
-		"hog_ops": report.HogOps, "hog_shed": report.HogShed, "hog_spilled": report.HogSpilled,
-		"neighbor_ops": report.NeighborOps, "neighbor_p99_ms": report.NeighborP99Millis})
+	report.Verdict = h.verdict()
+	h.event("memory_storm_done", "hog_ops", report.HogOps, "hog_shed", report.HogShed, "hog_spilled", report.HogSpilled,
+		"neighbor_ops", report.NeighborOps, "neighbor_p99_ms", report.NeighborP99Millis)
 	return report, nil
 }
 
@@ -225,14 +199,7 @@ func (h *memHarness) memServerConfig() server.Config {
 		DataRoot:    h.cfg.DataRoot,
 		IdleTimeout: 10 * time.Second,
 		MemoryPool:  memPoolBytes,
-		LogW:        h.cfg.LogW,
-	}
-	mkRows := func(n, dom int) [][]int64 {
-		rows := make([][]int64, n)
-		for r := range rows {
-			rows[r] = []int64{int64(r % dom), int64(r % 7)}
-		}
-		return rows
+		LogW:        h.logWriter(),
 	}
 	for i := 0; i < 3; i++ {
 		tc := server.TenantConfig{
@@ -251,17 +218,17 @@ func (h *memHarness) memServerConfig() server.Config {
 			// them overflows the share and sheds).
 			tc.Limits.MaxMemory = memHogBudget
 			tc.Bootstrap = func(sys *els.System) error {
-				if err := sys.LoadTable("H1", []string{"k", "v"}, mkRows(900, 40)); err != nil {
+				if err := sys.LoadTable("H1", []string{"k", "v"}, rows(900, 40)); err != nil {
 					return err
 				}
-				return sys.LoadTable("H2", []string{"k", "v"}, mkRows(1100, 40))
+				return sys.LoadTable("H2", []string{"k", "v"}, rows(1100, 40))
 			}
 		} else {
 			tc.Bootstrap = func(sys *els.System) error {
-				if err := sys.LoadTable("R", []string{"a", "b"}, mkRows(100, 10)); err != nil {
+				if err := sys.LoadTable("R", []string{"a", "b"}, rows(100, 10)); err != nil {
 					return err
 				}
-				return sys.LoadTable("S", []string{"a", "c"}, mkRows(150, 10))
+				return sys.LoadTable("S", []string{"a", "c"}, rows(150, 10))
 			}
 		}
 		cfg.Tenants = append(cfg.Tenants, tc)
@@ -274,47 +241,28 @@ func (h *memHarness) memServerConfig() server.Config {
 // outcomes; anything else is a violation.
 func (h *memHarness) hogClient(ctx context.Context, addr string, w int) {
 	rng := rand.New(rand.NewSource(h.cfg.Seed + 500 + int64(w)))
-	name := tenantName(0)
-	cl := h.dial(ctx, addr)
-	if cl == nil {
-		return
-	}
-	defer func() { cl.Close() }()
-	const hogSQL = "SELECT COUNT(*) FROM H1, H2 WHERE H1.k = H2.k"
-	for i := 0; i < h.cfg.OpsPerWorker; i++ {
-		_, err := cl.Do(ctx, &wire.Request{Op: wire.OpQuery, Tenant: name, SQL: hogSQL})
+	h.session(ctx, addr, memOpTimeout, h.cfg.OpsPerWorker, func(cl *wire.Client, _ int) bool {
+		_, err := cl.Do(ctx, &wire.Request{Op: wire.OpQuery, Tenant: tenantName(0),
+			SQL: "SELECT COUNT(*) FROM H1, H2 WHERE H1.k = H2.k"})
 		h.mu.Lock()
 		h.hogOps++
 		if err == nil {
 			h.hogSucceeded++
 		}
 		h.mu.Unlock()
-		if err != nil {
-			var remote *wire.RemoteError
-			switch {
-			case errors.As(err, &remote) && errors.Is(err, els.ErrOverloaded):
-				// A pool (or admission) shed: must be flagged retryable
-				// and carry a Retry-After hint.
-				if !remote.Wire.Retryable {
-					h.violation("hog shed not flagged retryable")
-				}
-				if remote.RetryAfter() <= 0 {
-					h.violation("hog shed carries no Retry-After hint")
-				}
-			case errors.Is(err, els.ErrMemory):
-				// A hard byte-budget failure is typed and acceptable too
-				// (sort-merge scratch under a tiny budget).
-			default:
-				h.violation(fmt.Sprintf("hog query failed outside the memory taxonomy: %v", err))
-			}
-			if cl.Broken() {
-				if cl = h.redial(ctx, addr, cl); cl == nil {
-					return
-				}
-			}
+		switch {
+		case err == nil:
+		case h.auditShed("hog", err):
+			// A pool (or admission) shed, retryable with a Retry-After hint.
+		case errors.Is(err, els.ErrMemory):
+			// A hard byte-budget failure is typed and acceptable too
+			// (sort-merge scratch under a tiny budget).
+		default:
+			h.violation("hog query failed outside the memory taxonomy: %v", err)
 		}
-		chaosPause(ctx, time.Duration(rng.Intn(2))*time.Millisecond)
-	}
+		pause(ctx.Done(), time.Duration(rng.Intn(2))*time.Millisecond)
+		return false
+	})
 }
 
 // neighborClient runs tenant ti's steady light workload. Every query must
@@ -322,30 +270,20 @@ func (h *memHarness) hogClient(ctx context.Context, addr string, w int) {
 func (h *memHarness) neighborClient(ctx context.Context, addr string, ti, w int) {
 	rng := rand.New(rand.NewSource(h.cfg.Seed + int64(ti)*100 + int64(w)))
 	name := tenantName(ti)
-	cl := h.dial(ctx, addr)
-	if cl == nil {
-		return
-	}
-	defer func() { cl.Close() }()
-	const neighborSQL = "SELECT COUNT(*) FROM R, S WHERE R.a = S.a"
-	for i := 0; i < h.cfg.OpsPerWorker; i++ {
+	h.session(ctx, addr, memOpTimeout, h.cfg.OpsPerWorker, func(cl *wire.Client, _ int) bool {
 		start := time.Now()
-		_, err := cl.Do(ctx, &wire.Request{Op: wire.OpQuery, Tenant: name, SQL: neighborSQL})
+		_, err := cl.Do(ctx, &wire.Request{Op: wire.OpQuery, Tenant: name, SQL: "SELECT COUNT(*) FROM R, S WHERE R.a = S.a"})
 		lat := time.Since(start)
 		h.mu.Lock()
 		h.neighborOps++
 		h.neighborLat = append(h.neighborLat, lat)
 		h.mu.Unlock()
 		if err != nil {
-			h.violation(fmt.Sprintf("neighbor %s query failed under hog pressure: %v", name, err))
-			if cl.Broken() {
-				if cl = h.redial(ctx, addr, cl); cl == nil {
-					return
-				}
-			}
+			h.violation("neighbor %s query failed under hog pressure: %v", name, err)
 		}
-		chaosPause(ctx, time.Duration(rng.Intn(3)+1)*time.Millisecond)
-	}
+		pause(ctx.Done(), time.Duration(rng.Intn(3)+1)*time.Millisecond)
+		return false
+	})
 }
 
 // latQuantile returns the q-quantile of the observed latencies in
@@ -358,41 +296,4 @@ func latQuantile(lats []time.Duration, q float64) float64 {
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 	idx := int(float64(len(s)-1) * q)
 	return float64(s[idx].Microseconds()) / 1000
-}
-
-func (h *memHarness) violation(msg string) {
-	h.mu.Lock()
-	h.violations = append(h.violations, msg)
-	h.mu.Unlock()
-}
-
-// dial opens a wire client, recording a violation on failure.
-func (h *memHarness) dial(ctx context.Context, addr string) *wire.Client {
-	cl, err := wire.Dial(ctx, addr)
-	if err != nil {
-		h.violation(fmt.Sprintf("chaos: dial %s failed: %v", addr, err))
-		return nil
-	}
-	cl.OpTimeout = 15 * time.Second
-	return cl
-}
-
-// redial replaces a broken client.
-func (h *memHarness) redial(ctx context.Context, addr string, old *wire.Client) *wire.Client {
-	old.Close()
-	return h.dial(ctx, addr)
-}
-
-// logEvent writes one JSONL record to the configured event log.
-func (h *memHarness) logEvent(fields map[string]any) {
-	if h.cfg.LogW == nil {
-		return
-	}
-	h.logMu.Lock()
-	defer h.logMu.Unlock()
-	b, err := json.Marshal(fields)
-	if err != nil {
-		return
-	}
-	h.cfg.LogW.Write(append(b, '\n'))
 }

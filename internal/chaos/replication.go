@@ -2,14 +2,12 @@ package chaos
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"path/filepath"
-	"sync"
 	"time"
 
 	els "repro"
@@ -17,7 +15,6 @@ import (
 	"repro/internal/durable"
 	"repro/internal/faultinject"
 	"repro/internal/replica"
-	"repro/internal/workpool"
 )
 
 // ReplicationConfig shapes one replication soak: a primary ships WAL
@@ -54,6 +51,7 @@ type ReplicationConfig struct {
 
 // ReplicationReport is the audited outcome of a replication soak.
 type ReplicationReport struct {
+	Verdict
 	// Rounds is the number of completed fault/settle/audit cycles.
 	Rounds int
 	// MutationsAcked counts mutations the primary acknowledged; the audit
@@ -85,12 +83,7 @@ type ReplicationReport struct {
 	FinalVersion    uint64
 	Digest          string
 	FollowerDigests map[string]string
-	// Violations lists every contract breach. A clean soak has none.
-	Violations []string
 }
-
-// Failed reports whether the soak breached any contract.
-func (r *ReplicationReport) Failed() bool { return len(r.Violations) > 0 }
 
 // The per-round fault rotation. Rotating (rather than sampling) guarantees
 // coverage of every kind in one CI run; the seed still picks victims,
@@ -113,21 +106,16 @@ var faultNames = [faultKinds]string{
 	"link-err", "follower-crash", "primary-crash", "diverge",
 }
 
-// replHarness carries one soak's state across rounds.
+// replHarness carries one soak's state across rounds; the kernel's mu
+// guards maxTried and report.
 type replHarness struct {
-	cfg     ReplicationConfig
-	primary *els.System
-	reps    []*els.Replica
-	ids     []string
-
-	//lockorder:level 5
-	mu         sync.Mutex
-	maxTried   float64 // highest card ever attempted for table m0
-	violations []string
-	report     ReplicationReport
-
-	//lockorder:level 70
-	logMu sync.Mutex
+	*kernel
+	cfg      ReplicationConfig
+	primary  *els.System
+	reps     []*els.Replica
+	ids      []string
+	maxTried float64 // highest card ever attempted for table m0
+	report   ReplicationReport
 }
 
 const replProbe = "SELECT COUNT(*) FROM m0 WHERE x < 5"
@@ -151,7 +139,11 @@ func RunReplication(cfg ReplicationConfig) (*ReplicationReport, error) {
 	if cfg.MaxReplicaLag <= 0 {
 		cfg.MaxReplicaLag = 3
 	}
-	h := &replHarness{cfg: cfg, reps: make([]*els.Replica, len(cfg.ReplicaDirs))}
+	h := &replHarness{
+		kernel: newKernel("replication", cfg.Seed, cfg.LogW, nil),
+		cfg:    cfg,
+		reps:   make([]*els.Replica, len(cfg.ReplicaDirs)),
+	}
 	for _, dir := range cfg.ReplicaDirs {
 		h.ids = append(h.ids, filepath.Base(filepath.Clean(dir)))
 	}
@@ -172,10 +164,8 @@ func RunReplication(cfg ReplicationConfig) (*ReplicationReport, error) {
 	h.finalAudit()
 	h.shutdown()
 
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.report.Violations = h.violations
 	out := h.report
+	out.Verdict = h.verdict()
 	return &out, nil
 }
 
@@ -212,8 +202,9 @@ func (h *replHarness) boot() error {
 // counts the acknowledgement. The monotonic sequence is what makes the
 // soak's final digest a pure function of the seed.
 func (h *replHarness) mutate() error {
+	var card float64
 	h.mu.Lock()
-	card := h.maxTried + 1
+	card = h.maxTried + 1
 	h.maxTried = card
 	h.mu.Unlock()
 	err := h.primary.DeclareStats("m0", card, map[string]float64{"x": 10})
@@ -233,13 +224,13 @@ func (h *replHarness) round(round int, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	kind := round % faultKinds
 	victim := rng.Intn(len(h.reps))
-	h.logEvent(map[string]any{"event": "round", "round": round,
-		"fault": faultNames[kind], "victim": h.ids[victim]})
+	h.event("round", "round", round, "fault", faultNames[kind], "victim", h.ids[victim])
 
 	crashAt := rng.Intn(h.cfg.MutationsPerRound)
 	crashPoint := []string{durable.PointWALAppend, durable.PointWALSync}[rng.Intn(2)]
+	var injectedBefore int
 	h.mu.Lock()
-	injectedBefore := h.report.DivergencesInjected
+	injectedBefore = h.report.DivergencesInjected
 	h.mu.Unlock()
 	h.arm(kind, victim, rng)
 
@@ -247,13 +238,9 @@ func (h *replHarness) round(round int, seed int64) error {
 	// success (stamped as a replica read), ErrStaleReplica (lag bound), and
 	// ErrDiverged (quarantine). Anything else is a breach.
 	stop := make(chan struct{})
-	var readers sync.WaitGroup
-	onPanic := func(err error) {
-		h.violation(fmt.Sprintf("round %d: background goroutine failed: %v", round, err))
-	}
+	readers := h.fleet(fmt.Sprintf("round %d", round))
 	for i := range h.reps {
-		i := i
-		workpool.Go(&readers, onPanic, func() error {
+		readers.Go(func() {
 			var served, stale uint64
 			for {
 				select {
@@ -262,7 +249,7 @@ func (h *replHarness) round(round int, seed int64) error {
 					h.report.ServedReads += served
 					h.report.StaleReads += stale
 					h.mu.Unlock()
-					return nil
+					return
 				default:
 				}
 				est, err := h.reps[i].Estimate(replProbe, els.AlgorithmELS)
@@ -270,18 +257,16 @@ func (h *replHarness) round(round int, seed int64) error {
 				case err == nil:
 					served++
 					if !est.Replica {
-						h.violation(fmt.Sprintf("round %d: replica %s read not stamped as a replica read",
-							round, h.ids[i]))
-						return nil
+						h.violation("round %d: replica %s read not stamped as a replica read", round, h.ids[i])
+						return
 					}
 				case errors.Is(err, els.ErrStaleReplica):
 					stale++
 				case errors.Is(err, els.ErrDiverged):
 					stale++
 				default:
-					h.violation(fmt.Sprintf("round %d: replica %s read failed outside taxonomy: %v",
-						round, h.ids[i], err))
-					return nil
+					h.violation("round %d: replica %s read failed outside taxonomy: %v", round, h.ids[i], err)
+					return
 				}
 			}
 		})
@@ -296,16 +281,16 @@ func (h *replHarness) round(round int, seed int64) error {
 				Times:   1,
 				Payload: faultinject.DiskFault{ShortWrite: rng.Intn(60) - 10},
 			})
-			h.logEvent(map[string]any{"event": "arm-crash", "round": round, "point": crashPoint})
+			h.event("arm-crash", "round", round, "point", crashPoint)
 		}
 		err := h.mutate()
 		switch {
 		case err == nil:
 		case errors.Is(err, els.ErrDurability):
-			h.logEvent(map[string]any{"event": "primary-crash", "round": round, "mutation": i})
+			h.event("primary-crash", "round", round, "mutation", i)
 			primaryCrashed = true
 		default:
-			h.violation(fmt.Sprintf("round %d: mutation error outside taxonomy: %v", round, err))
+			h.violation("round %d: mutation error outside taxonomy: %v", round, err)
 		}
 		if primaryCrashed {
 			break
@@ -317,8 +302,9 @@ func (h *replHarness) round(round int, seed int64) error {
 	close(stop)
 	readers.Wait()
 
+	var divergeFired bool
 	h.mu.Lock()
-	divergeFired := h.report.DivergencesInjected > injectedBefore
+	divergeFired = h.report.DivergencesInjected > injectedBefore
 	h.mu.Unlock()
 	faultinject.Reset() // disarm whatever never fired
 
@@ -397,28 +383,27 @@ func (h *replHarness) reopenPrimary(round int) error {
 	acked := h.primary.CatalogVersion()
 	ackedCard, cardErr := h.primary.TableCard("m0")
 	h.absorbShipping()
-	closeQuietly(h.primary)
+	drain(h.primary)
 
 	sys, err := els.Open(h.cfg.PrimaryDir)
 	if err != nil {
-		h.violation(fmt.Sprintf("round %d: primary recovery failed: %v", round, err))
+		h.violation("round %d: primary recovery failed: %v", round, err)
 		return fmt.Errorf("chaos: primary recovery: %w", err)
 	}
 	h.primary = sys
 	rv := sys.CatalogVersion()
 	if rv < acked || rv > acked+1 {
-		h.violation(fmt.Sprintf("round %d: primary recovered version %d outside [%d, %d]",
-			round, rv, acked, acked+1))
+		h.violation("round %d: primary recovered version %d outside [%d, %d]",
+			round, rv, acked, acked+1)
 	}
 	if got, err := sys.TableCard("m0"); cardErr == nil && (err != nil || got < ackedCard) {
-		h.violation(fmt.Sprintf("round %d: primary recovery regressed m0 below its acknowledged card", round))
+		h.violation("round %d: primary recovery regressed m0 below its acknowledged card", round)
 	}
-	h.logEvent(map[string]any{"event": "primary-recovered", "round": round,
-		"version": rv, "ahead": rv - acked})
+	h.event("primary-recovered", "round", round, "version", rv, "ahead", rv-acked)
 	for i, rep := range h.reps {
 		if err := sys.AttachReplica(rep); err != nil {
-			h.violation(fmt.Sprintf("round %d: re-attaching replica %s after primary crash: %v",
-				round, h.ids[i], err))
+			h.violation("round %d: re-attaching replica %s after primary crash: %v",
+				round, h.ids[i], err)
 		}
 	}
 	return nil
@@ -456,23 +441,23 @@ func (h *replHarness) settleAndAudit(round int, divergeFired bool, victim int) e
 		case rep.Quarantined() != nil:
 			q := rep.Quarantined()
 			if !errors.Is(q, els.ErrDiverged) {
-				h.violation(fmt.Sprintf("round %d: replica %s quarantine outside taxonomy: %v",
-					round, h.ids[i], q))
+				h.violation("round %d: replica %s quarantine outside taxonomy: %v",
+					round, h.ids[i], q)
 			}
 			var dv *els.DivergenceError
 			if !errors.As(q, &dv) {
-				h.violation(fmt.Sprintf("round %d: replica %s quarantine carries no DivergenceError: %v",
-					round, h.ids[i], q))
+				h.violation("round %d: replica %s quarantine carries no DivergenceError: %v",
+					round, h.ids[i], q)
 			}
 			detected++
 			h.mu.Lock()
 			h.report.DivergencesDetected++
 			h.mu.Unlock()
-			h.logEvent(map[string]any{"event": "quarantine", "round": round, "replica": h.ids[i]})
+			h.event("quarantine", "round", round, "replica", h.ids[i])
 			// The heal path: re-attaching is the operator acknowledging the
 			// divergence; it re-certifies the replica from a full frame.
 			if err := h.primary.AttachReplica(rep); err != nil {
-				h.violation(fmt.Sprintf("round %d: healing replica %s: %v", round, h.ids[i], err))
+				h.violation("round %d: healing replica %s: %v", round, h.ids[i], err)
 			}
 			h.mu.Lock()
 			h.report.CatchUps++
@@ -483,8 +468,8 @@ func (h *replHarness) settleAndAudit(round int, divergeFired bool, victim int) e
 		}
 	}
 	if divergeFired && detected == 0 {
-		h.violation(fmt.Sprintf("round %d: injected divergence on %s went undetected",
-			round, h.ids[victim]))
+		h.violation("round %d: injected divergence on %s went undetected",
+			round, h.ids[victim])
 	}
 	if !healed {
 		return nil
@@ -521,7 +506,7 @@ func (h *replHarness) awaitHeal(phase string) error {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			h.violation(fmt.Sprintf("%s: healed fleet failed to catch up", phase))
+			h.violation("%s: healed fleet failed to catch up", phase)
 			return fmt.Errorf("chaos: %s: healed fleet failed to catch up", phase)
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -532,23 +517,23 @@ func (h *replHarness) awaitHeal(phase string) error {
 // the primary's. The fleet is quiesced, so any mismatch is a breach: a
 // version short of the primary's lost an acknowledged mutation, and a
 // differing digest at the same version is a divergence the audit missed.
-func (h *replHarness) auditDigest(round, i int) {
-	pver, pdig, err := h.primary.CatalogDigest()
-	if err != nil {
-		h.violation(fmt.Sprintf("round %d: primary digest failed: %v", round, err))
-		return
+// It returns the follower's digest, or "" when either could not be taken.
+func (h *replHarness) auditDigest(round, i int) string {
+	pver, pdig, ok := h.digest(fmt.Sprintf("round %d: primary", round), h.primary)
+	if !ok {
+		return ""
 	}
-	fver, fdig, err := h.reps[i].CatalogDigest()
+	fver, fdig, ok := h.digest(fmt.Sprintf("round %d: replica %s", round, h.ids[i]), h.reps[i])
 	switch {
-	case err != nil:
-		h.violation(fmt.Sprintf("round %d: replica %s digest failed: %v", round, h.ids[i], err))
+	case !ok:
 	case fver != pver:
-		h.violation(fmt.Sprintf("round %d: replica %s settled at version %d, primary at %d: acknowledged mutations missing",
-			round, h.ids[i], fver, pver))
+		h.violation("round %d: replica %s settled at version %d, primary at %d: acknowledged mutations missing",
+			round, h.ids[i], fver, pver)
 	case fdig != pdig:
-		h.violation(fmt.Sprintf("round %d: undetected divergence: replica %s digest %s != primary %s at version %d",
-			round, h.ids[i], fdig, pdig, pver))
+		h.violation("round %d: undetected divergence: replica %s digest %s != primary %s at version %d",
+			round, h.ids[i], fdig, pdig, pver)
 	}
+	return fdig
 }
 
 // reopenFollower recovers a follower whose own disk was killed: close it,
@@ -556,29 +541,25 @@ func (h *replHarness) auditDigest(round, i int) {
 // checkpoints exactly like a primary), and re-attach.
 func (h *replHarness) reopenFollower(round, i int) error {
 	prev := h.reps[i].CatalogVersion()
-	//ctxflow:allow end-of-round reopen runs after every caller context is gone
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	h.reps[i].Close(ctx)
-	cancel()
+	drain(h.reps[i])
 	rep, err := els.OpenReplica(h.cfg.ReplicaDirs[i])
 	if err != nil {
-		h.violation(fmt.Sprintf("round %d: replica %s recovery failed: %v", round, h.ids[i], err))
+		h.violation("round %d: replica %s recovery failed: %v", round, h.ids[i], err)
 		return fmt.Errorf("chaos: replica recovery: %w", err)
 	}
 	if rv := rep.CatalogVersion(); rv > prev+1 {
-		h.violation(fmt.Sprintf("round %d: replica %s recovered version %d beyond anything it applied (%d)",
-			round, h.ids[i], rv, prev))
+		h.violation("round %d: replica %s recovered version %d beyond anything it applied (%d)",
+			round, h.ids[i], rv, prev)
 	}
 	rep.SetLimits(els.Limits{MaxReplicaLag: h.cfg.MaxReplicaLag})
 	if err := h.primary.AttachReplica(rep); err != nil {
-		h.violation(fmt.Sprintf("round %d: re-attaching recovered replica %s: %v", round, h.ids[i], err))
+		h.violation("round %d: re-attaching recovered replica %s: %v", round, h.ids[i], err)
 	}
 	h.reps[i] = rep
 	h.mu.Lock()
 	h.report.CatchUps++
 	h.mu.Unlock()
-	h.logEvent(map[string]any{"event": "follower-recovered", "round": round,
-		"replica": h.ids[i], "version": rep.CatalogVersion()})
+	h.event("follower-recovered", "round", round, "replica", h.ids[i], "version", rep.CatalogVersion())
 	return nil
 }
 
@@ -595,7 +576,7 @@ func (h *replHarness) staleAudit(round, victim int) error {
 	})
 	for i := 0; i < h.cfg.MaxReplicaLag+2; i++ {
 		if err := h.mutate(); err != nil {
-			h.violation(fmt.Sprintf("round %d: stale-audit mutation failed: %v", round, err))
+			h.violation("round %d: stale-audit mutation failed: %v", round, err)
 			faultinject.Disable(link)
 			return nil
 		}
@@ -603,15 +584,15 @@ func (h *replHarness) staleAudit(round, victim int) error {
 	lag := rep.Lag()
 	_, err := rep.Estimate(replProbe, els.AlgorithmELS)
 	if !errors.Is(err, els.ErrStaleReplica) {
-		h.violation(fmt.Sprintf("round %d: read on %s at lag %d (bound %d) not rejected with ErrStaleReplica: %v",
-			round, id, lag, h.cfg.MaxReplicaLag, err))
+		h.violation("round %d: read on %s at lag %d (bound %d) not rejected with ErrStaleReplica: %v",
+			round, id, lag, h.cfg.MaxReplicaLag, err)
 	} else {
 		var sre *els.StaleReplicaError
 		if !errors.As(err, &sre) {
-			h.violation(fmt.Sprintf("round %d: stale rejection carries no StaleReplicaError: %v", round, err))
+			h.violation("round %d: stale rejection carries no StaleReplicaError: %v", round, err)
 		} else if sre.Lag <= uint64(h.cfg.MaxReplicaLag) {
-			h.violation(fmt.Sprintf("round %d: stale rejection reports lag %d within the bound %d",
-				round, sre.Lag, sre.MaxLag))
+			h.violation("round %d: stale rejection reports lag %d within the bound %d",
+				round, sre.Lag, sre.MaxLag)
 		}
 	}
 	faultinject.Disable(link)
@@ -620,19 +601,19 @@ func (h *replHarness) staleAudit(round, victim int) error {
 	}
 	want, err := h.primary.Estimate(replProbe, els.AlgorithmELS)
 	if err != nil {
-		h.violation(fmt.Sprintf("round %d: primary probe failed: %v", round, err))
+		h.violation("round %d: primary probe failed: %v", round, err)
 		return nil
 	}
 	got, err := rep.Estimate(replProbe, els.AlgorithmELS)
 	switch {
 	case err != nil:
-		h.violation(fmt.Sprintf("round %d: caught-up replica %s still rejects reads: %v", round, id, err))
+		h.violation("round %d: caught-up replica %s still rejects reads: %v", round, id, err)
 	case got.CatalogVersion != want.CatalogVersion:
-		h.violation(fmt.Sprintf("round %d: caught-up replica %s pinned version %d, primary %d",
-			round, id, got.CatalogVersion, want.CatalogVersion))
+		h.violation("round %d: caught-up replica %s pinned version %d, primary %d",
+			round, id, got.CatalogVersion, want.CatalogVersion)
 	case math.Float64bits(got.FinalSize) != math.Float64bits(want.FinalSize):
-		h.violation(fmt.Sprintf("round %d: replica %s estimate not bit-identical to primary at version %d: %x != %x",
-			round, id, want.CatalogVersion, math.Float64bits(got.FinalSize), math.Float64bits(want.FinalSize)))
+		h.violation("round %d: replica %s estimate not bit-identical to primary at version %d: %x != %x",
+			round, id, want.CatalogVersion, math.Float64bits(got.FinalSize), math.Float64bits(want.FinalSize))
 	}
 	h.mu.Lock()
 	h.report.StaleAudits++
@@ -646,7 +627,7 @@ func (h *replHarness) settle(phase string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := h.primary.WaitForReplicas(ctx); err != nil {
-		h.violation(fmt.Sprintf("%s: fleet failed to catch up: %v", phase, err))
+		h.violation("%s: fleet failed to catch up: %v", phase, err)
 		return fmt.Errorf("chaos: %s: fleet failed to catch up: %w", phase, err)
 	}
 	return nil
@@ -655,17 +636,14 @@ func (h *replHarness) settle(phase string) error {
 // finalAudit records the soak's settled identity: the primary's version
 // and digest plus every follower's digest (all must agree).
 func (h *replHarness) finalAudit() {
-	pver, pdig, err := h.primary.CatalogDigest()
-	if err != nil {
-		h.violation(fmt.Sprintf("final: primary digest failed: %v", err))
+	pver, pdig, ok := h.digest("final: primary", h.primary)
+	if !ok {
 		return
 	}
-	h.report.FinalVersion = pver
-	h.report.Digest = pdig
+	h.report.FinalVersion, h.report.Digest = pver, pdig
 	h.report.FollowerDigests = make(map[string]string, len(h.reps))
 	for i := range h.reps {
-		h.auditDigest(h.cfg.Rounds, i)
-		if _, fdig, err := h.reps[i].CatalogDigest(); err == nil {
+		if fdig := h.auditDigest(h.cfg.Rounds, i); fdig != "" {
 			h.report.FollowerDigests[h.ids[i]] = fdig
 		}
 	}
@@ -688,34 +666,9 @@ func (h *replHarness) absorbShipping() {
 // shutdown closes the fleet and the primary.
 func (h *replHarness) shutdown() {
 	for _, rep := range h.reps {
-		if rep == nil {
-			continue
+		if rep != nil {
+			drain(rep)
 		}
-		//ctxflow:allow end-of-soak drain runs after every caller context is gone
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		rep.Close(ctx)
-		cancel()
 	}
-	closeQuietly(h.primary)
-}
-
-// violation and logEvent reuse the crash harness's conventions.
-func (h *replHarness) violation(msg string) {
-	h.mu.Lock()
-	h.violations = append(h.violations, msg)
-	h.mu.Unlock()
-	h.logEvent(map[string]any{"event": "violation", "msg": msg})
-}
-
-func (h *replHarness) logEvent(fields map[string]any) {
-	if h.cfg.LogW == nil {
-		return
-	}
-	h.logMu.Lock()
-	defer h.logMu.Unlock()
-	b, err := json.Marshal(fields)
-	if err != nil {
-		return
-	}
-	h.cfg.LogW.Write(append(b, '\n'))
+	drain(h.primary)
 }

@@ -3,13 +3,11 @@ package chaos
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
-	"sync"
 	"time"
 
 	els "repro"
@@ -42,6 +40,7 @@ type ServerConfig struct {
 
 // ServerReport is the audited outcome of a server storm.
 type ServerReport struct {
+	Verdict
 	// Ops counts client operations issued; Succeeded the ones that
 	// returned no error.
 	Ops, Succeeded int
@@ -58,31 +57,6 @@ type ServerReport struct {
 	// Digests maps tenant -> "version:digest" identity recovered after
 	// the restart (audited equal to the pre-drain identity).
 	Digests map[string]string
-	// Violations lists every contract breach. A clean storm has none.
-	Violations []string
-}
-
-// Failed reports whether the storm breached any contract.
-func (r *ServerReport) Failed() bool { return len(r.Violations) > 0 }
-
-// wireTaxonomy extends the in-process taxonomy with the wire-layer and
-// tenant-routing sentinels: every error a client observes must match one.
-var wireTaxonomy = []struct {
-	name string
-	err  error
-}{
-	{"tenant", els.ErrTenant},
-	{"bad-wire", els.ErrBadWire},
-	{"stale-replica", els.ErrStaleReplica},
-	{"diverged", els.ErrDiverged},
-	{"durability", els.ErrDurability},
-	{"canceled", els.ErrCanceled},
-	{"budget", els.ErrBudgetExceeded},
-	{"bad-stats", els.ErrBadStats},
-	{"parse", els.ErrParse},
-	{"overloaded", els.ErrOverloaded},
-	{"closed", els.ErrClosed},
-	{"internal", els.ErrInternal},
 }
 
 // tenantCardBase spaces each tenant's published cardinalities a million
@@ -92,21 +66,14 @@ func tenantCardBase(i int) float64 { return float64(i+1) * 1_000_000 }
 
 func tenantName(i int) string { return fmt.Sprintf("tenant%d", i) }
 
-// serverHarness carries the storm's shared state.
+// serverOpTimeout bounds each swarm client's wire call.
+const serverOpTimeout = 5 * time.Second
+
+// serverHarness carries the storm's state; the kernel's ledger holds each
+// tenant's acknowledged versions and estimate probes.
 type serverHarness struct {
+	*kernel
 	cfg ServerConfig
-
-	//lockorder:level 5
-	mu          sync.Mutex
-	versionCard map[string]map[uint64]float64 // tenant -> acked version -> card
-	obs         map[string][]observation      // tenant -> estimate probes
-	errsByClass map[string]int
-	violations  []string
-	ops         int
-	succeeded   int
-
-	//lockorder:level 70
-	logMu sync.Mutex
 }
 
 // RunServer drives the network chaos fleet end to end: N durable tenants
@@ -122,7 +89,8 @@ type serverHarness struct {
 //     neighbors keep serving;
 //   - taxonomy: every client-observed failure matches a public sentinel;
 //   - no leaks: after the drain, every tenant is at zero in-flight and
-//     zero waiting, and the server holds zero connections;
+//     zero waiting, the server holds zero connections, and no *.spill
+//     file survives under the data root;
 //   - durability: every tenant's recovered catalog identity
 //     (version:digest) equals its pre-drain identity — no acknowledged
 //     mutation was lost.
@@ -142,12 +110,7 @@ func RunServer(ctx context.Context, cfg ServerConfig) (*ServerReport, error) {
 	if cfg.DataRoot == "" {
 		return nil, fmt.Errorf("chaos: RunServer needs a DataRoot")
 	}
-	h := &serverHarness{
-		cfg:         cfg,
-		versionCard: make(map[string]map[uint64]float64),
-		obs:         make(map[string][]observation),
-		errsByClass: make(map[string]int),
-	}
+	h := &serverHarness{kernel: newKernel("server", cfg.Seed, cfg.LogW, wireSet), cfg: cfg}
 	report := &ServerReport{Digests: make(map[string]string)}
 
 	srv, err := server.Start(ctx, h.serverConfig())
@@ -155,22 +118,23 @@ func RunServer(ctx context.Context, cfg ServerConfig) (*ServerReport, error) {
 		return nil, fmt.Errorf("chaos: starting server: %w", err)
 	}
 	addr := srv.Addr()
-	h.seedVersions(srv)
+	// Each tenant's bootstrap-published identity, so the very first
+	// estimate probes have a version to audit against.
+	for i := 0; i < cfg.Tenants; i++ {
+		h.publish(tenantName(i), srv.System(tenantName(i)).CatalogVersion(), tenantCardBase(i))
+	}
 
 	// Phase 1: the storm — swarms, saboteurs, overload.
-	h.logEvent(map[string]any{"event": "storm_start", "addr": addr, "tenants": cfg.Tenants})
-	onPanic := func(err error) { h.violation(fmt.Sprintf("chaos: fleet goroutine failed: %v", err)) }
-	var fleet sync.WaitGroup
+	h.event("storm_start", "addr", addr, "tenants", cfg.Tenants)
+	swarm := h.fleet("chaos: server swarm")
 	for ti := 0; ti < cfg.Tenants; ti++ {
-		ti := ti
-		workpool.Go(&fleet, onPanic, func() error { h.mutatorClient(ctx, addr, ti); return nil })
+		swarm.Go(func() { h.mutatorClient(ctx, addr, ti) })
 		for w := 1; w < cfg.WorkersPerTenant; w++ {
-			w := w
-			workpool.Go(&fleet, onPanic, func() error { h.readerClient(ctx, addr, ti, w); return nil })
+			swarm.Go(func() { h.readerClient(ctx, addr, ti, w) })
 		}
 	}
-	workpool.Go(&fleet, onPanic, func() error { h.saboteur(ctx, addr); return nil })
-	fleet.Wait()
+	swarm.Go(func() { h.saboteur(ctx, addr) })
+	swarm.Wait()
 
 	// Phase 1b: overload flood — a one-shot client burst far past the
 	// 2-slot, 2-deep admission budget; the sheds must be typed, marked
@@ -190,30 +154,17 @@ func RunServer(ctx context.Context, cfg ServerConfig) (*ServerReport, error) {
 	preDigests := make(map[string]string)
 	for i := 0; i < cfg.Tenants; i++ {
 		name := tenantName(i)
-		v, d, derr := srv.System(name).CatalogDigest()
-		if derr != nil {
-			h.violation(fmt.Sprintf("pre-drain digest of %s failed: %v", name, derr))
-			continue
+		if v, d, ok := h.digest("pre-drain "+name, srv.System(name)); ok {
+			preDigests[name] = fmt.Sprintf("%d:%s", v, d)
 		}
-		preDigests[name] = fmt.Sprintf("%d:%s", v, d)
 	}
 
 	// Phase 4: graceful drain under live traffic. Stalled requests
 	// started before the drain must finish; a request landing mid-drain
 	// must be refused with a typed draining error carrying a Retry-After
-	// hint.
+	// hint. Nothing may survive it.
 	h.auditDrain(ctx, addr, srv, report)
-
-	st := srv.Stats()
-	if st.ActiveConns != 0 {
-		h.violation(fmt.Sprintf("connection leak: %d conns survive the drain", st.ActiveConns))
-	}
-	for _, ts := range st.Tenants {
-		if ts.InFlight != 0 || ts.Waiting != 0 {
-			h.violation(fmt.Sprintf("slot leak in %s after drain: in-flight %d, waiting %d",
-				ts.Tenant, ts.InFlight, ts.Waiting))
-		}
-	}
+	h.auditDrained(srv, cfg.DataRoot)
 
 	// Phase 5: restart over the same data root; every tenant — including
 	// the formerly quarantined one, whose poison was process state — must
@@ -222,28 +173,64 @@ func RunServer(ctx context.Context, cfg ServerConfig) (*ServerReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chaos: restarting server: %w", err)
 	}
-	for i := 0; i < cfg.Tenants; i++ {
-		name := tenantName(i)
-		id, derr := h.wireDigest(ctx, srv2.Addr(), name)
-		if derr != nil {
-			h.violation(fmt.Sprintf("post-restart digest of %s failed: %v", name, derr))
-			continue
+	if cl := h.dial(ctx, srv2.Addr(), serverOpTimeout); cl != nil {
+		for i := 0; i < cfg.Tenants; i++ {
+			name := tenantName(i)
+			v, d, ok := h.digest("post-restart "+name, wireTenant{ctx, cl, name})
+			if !ok {
+				continue
+			}
+			id := fmt.Sprintf("%d:%s", v, d)
+			report.Digests[name] = id
+			if pre, ok := preDigests[name]; ok && pre != id {
+				h.violation("tenant %s lost acknowledged state across restart: pre-drain %s, recovered %s",
+					name, pre, id)
+			}
 		}
-		report.Digests[name] = id
-		if pre, ok := preDigests[name]; ok && pre != id {
-			h.violation(fmt.Sprintf("tenant %s lost acknowledged state across restart: pre-drain %s, recovered %s",
-				name, pre, id))
-		}
+		cl.Close()
 	}
 	drainCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
 	if err := srv2.Shutdown(drainCtx); err != nil {
-		h.violation(fmt.Sprintf("restarted server did not drain cleanly: %v", err))
+		h.violation("restarted server did not drain cleanly: %v", err)
 	}
 
-	h.auditVersions()
-	h.finish(report)
+	// Every estimate probe must match the exact cardinality its tenant
+	// published for the pinned version, inside its tenant's band.
+	h.auditTornReads(false, func(tenant string, size float64) string {
+		var base float64
+		for i := 0; i < cfg.Tenants; i++ {
+			if tenantName(i) == tenant {
+				base = tenantCardBase(i)
+			}
+		}
+		if size < base || size >= base+1_000_000 {
+			return fmt.Sprintf("cross-tenant read: %s estimate %g is outside its band [%g, %g)",
+				tenant, size, base, base+1_000_000)
+		}
+		return ""
+	})
+	report.Verdict = h.verdict()
+	_, report.Observations = h.ledger()
+	h.mu.Lock()
+	report.Ops, report.Succeeded, report.ErrorsByClass = h.ops, h.succeeded, h.errsByClass
+	h.mu.Unlock()
 	return report, nil
+}
+
+// wireTenant reads one tenant's catalog identity over the wire.
+type wireTenant struct {
+	ctx  context.Context
+	cl   *wire.Client
+	name string
+}
+
+func (w wireTenant) CatalogDigest() (uint64, string, error) {
+	resp, err := w.cl.Do(w.ctx, &wire.Request{Op: wire.OpDigest, Tenant: w.name})
+	if err != nil {
+		return 0, "", err
+	}
+	return resp.Version, resp.Digest, nil
 }
 
 // serverConfig builds the (restart-stable) server configuration: small
@@ -258,7 +245,7 @@ func (h *serverHarness) serverConfig() server.Config {
 		WriteTimeout:    2 * time.Second,
 		PoisonThreshold: 3,
 		EnableFaultOps:  true,
-		LogW:            h.cfg.LogW,
+		LogW:            h.logWriter(),
 	}
 	for i := 0; i < h.cfg.Tenants; i++ {
 		i := i
@@ -272,17 +259,10 @@ func (h *serverHarness) serverConfig() server.Config {
 				Workers:       2,
 			},
 			Bootstrap: func(sys *els.System) error {
-				mkRows := func(n, dom int) [][]int64 {
-					rows := make([][]int64, n)
-					for r := range rows {
-						rows[r] = []int64{int64(r % dom), int64(r % 7)}
-					}
-					return rows
-				}
-				if err := sys.LoadTable("R", []string{"a", "b"}, mkRows(100, 10)); err != nil {
+				if err := sys.LoadTable("R", []string{"a", "b"}, rows(100, 10)); err != nil {
 					return err
 				}
-				if err := sys.LoadTable("S", []string{"a", "c"}, mkRows(150, 10)); err != nil {
+				if err := sys.LoadTable("S", []string{"a", "c"}, rows(150, 10)); err != nil {
 					return err
 				}
 				return sys.DeclareStats("V", tenantCardBase(i), map[string]float64{"x": 10})
@@ -292,17 +272,6 @@ func (h *serverHarness) serverConfig() server.Config {
 	return cfg
 }
 
-// seedVersions records each tenant's bootstrap-published identity so the
-// very first estimate probes have a version to audit against.
-func (h *serverHarness) seedVersions(srv *server.Server) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i := 0; i < h.cfg.Tenants; i++ {
-		name := tenantName(i)
-		h.versionCard[name] = map[uint64]float64{srv.System(name).CatalogVersion(): tenantCardBase(i)}
-	}
-}
-
 // mutatorClient is tenant ti's single mutating client: it republishes V's
 // statistics with a version-correlated, tenant-banded cardinality. One
 // mutator per tenant means the version a declare acknowledgement reports
@@ -310,34 +279,23 @@ func (h *serverHarness) seedVersions(srv *server.Server) {
 func (h *serverHarness) mutatorClient(ctx context.Context, addr string, ti int) {
 	rng := rand.New(rand.NewSource(h.cfg.Seed + 1000 + int64(ti)))
 	name := tenantName(ti)
-	cl := h.dial(ctx, addr)
-	if cl == nil {
-		return
-	}
-	defer cl.Close()
-	for i := 1; i <= h.cfg.OpsPerWorker; i++ {
-		card := tenantCardBase(ti) + float64(i)
+	h.session(ctx, addr, serverOpTimeout, h.cfg.OpsPerWorker, func(cl *wire.Client, i int) bool {
+		card := tenantCardBase(ti) + float64(i+1)
 		resp, err := cl.Do(ctx, &wire.Request{
 			Op: wire.OpDeclare, Tenant: name, Table: "V", Rows: card,
 			Distinct: map[string]float64{"x": 10},
 		})
+		h.record(name, "declare", err)
 		if err != nil {
-			// A shed or torn declare is unacknowledged: nothing to record,
-			// and the durability audit must not expect it.
-			h.record(name, "declare", err)
-			cl = h.redial(ctx, addr, cl)
-			if cl == nil {
-				return
-			}
-			continue
+			// A shed or torn declare is unacknowledged: nothing to publish,
+			// and the durability audit must not expect it. Start afresh on
+			// a new connection.
+			return true
 		}
-		h.record(name, "declare", nil)
-		h.mu.Lock()
-		h.versionCard[name][resp.Version] = card
-		h.mu.Unlock()
-		h.logEvent(map[string]any{"event": "publish", "tenant": name, "version": resp.Version, "card": card})
-		chaosPause(ctx, time.Duration(rng.Intn(2)+1)*time.Millisecond)
-	}
+		h.publish(name, resp.Version, card)
+		pause(ctx.Done(), time.Duration(rng.Intn(2)+1)*time.Millisecond)
+		return false
+	})
 }
 
 // readerClient is one swarm client: estimates (audited for isolation),
@@ -347,12 +305,7 @@ func (h *serverHarness) mutatorClient(ctx context.Context, addr string, ti int) 
 func (h *serverHarness) readerClient(ctx context.Context, addr string, ti, w int) {
 	rng := rand.New(rand.NewSource(h.cfg.Seed + int64(ti)*100 + int64(w)))
 	name := tenantName(ti)
-	cl := h.dial(ctx, addr)
-	if cl == nil {
-		return
-	}
-	defer func() { cl.Close() }()
-	for i := 0; i < h.cfg.OpsPerWorker; i++ {
+	h.session(ctx, addr, serverOpTimeout, h.cfg.OpsPerWorker, func(cl *wire.Client, _ int) bool {
 		var err error
 		var op string
 		switch rng.Intn(6) {
@@ -361,9 +314,7 @@ func (h *serverHarness) readerClient(ctx context.Context, addr string, ti, w int
 			var resp *wire.Response
 			resp, err = cl.Do(ctx, &wire.Request{Op: wire.OpEstimate, Tenant: name, SQL: versionProbeSQL})
 			if err == nil {
-				h.mu.Lock()
-				h.obs[name] = append(h.obs[name], observation{resp.Estimate.CatalogVersion, resp.Estimate.FinalSize})
-				h.mu.Unlock()
+				h.observe(name, resp.Estimate.CatalogVersion, resp.Estimate.FinalSize)
 			}
 		case 1:
 			op = "query"
@@ -391,13 +342,8 @@ func (h *serverHarness) readerClient(ctx context.Context, addr string, ti, w int
 			}
 		}
 		h.record(name, op, err)
-		if cl.Broken() {
-			cl = h.redial(ctx, addr, cl)
-			if cl == nil {
-				return
-			}
-		}
-	}
+		return false
+	})
 }
 
 // saboteur attacks the wire itself: garbage frames, corrupted checksums,
@@ -410,7 +356,7 @@ func (h *serverHarness) saboteur(ctx context.Context, addr string) {
 	for i := 0; i < 4*h.cfg.Tenants; i++ {
 		conn, err := d.DialContext(ctx, "tcp", addr)
 		if err != nil {
-			h.violation(fmt.Sprintf("saboteur dial failed: %v", err))
+			h.violation("saboteur dial failed: %v", err)
 			return
 		}
 		conn.SetDeadline(time.Now().Add(2 * time.Second))
@@ -428,7 +374,7 @@ func (h *serverHarness) saboteur(ctx context.Context, addr string) {
 						h.violation("garbage payload did not yield a typed wire error")
 					}
 				} else {
-					h.violation(fmt.Sprintf("garbage payload: no typed reply: %v", rerr))
+					h.violation("garbage payload: no typed reply: %v", rerr)
 				}
 			}
 		case 1:
@@ -454,7 +400,7 @@ func (h *serverHarness) saboteur(ctx context.Context, addr string) {
 			}
 		}
 		conn.Close()
-		h.logEvent(map[string]any{"event": "sabotage", "kind": kind})
+		h.event("sabotage", "kind", kind)
 	}
 }
 
@@ -465,53 +411,40 @@ func (h *serverHarness) saboteur(ctx context.Context, addr string) {
 func (h *serverHarness) flood(ctx context.Context, addr string) {
 	name := tenantName(0)
 	const clients, opsEach = 12, 15
-	var burst sync.WaitGroup
-	onPanic := func(err error) { h.violation(fmt.Sprintf("chaos: flood goroutine failed: %v", err)) }
-	var mu sync.Mutex
+	burst := h.fleet("chaos: flood")
 	sheds := 0
 	for c := 0; c < clients; c++ {
-		workpool.Go(&burst, onPanic, func() error {
-			cl := h.dial(ctx, addr)
+		burst.Go(func() {
+			cl := h.dial(ctx, addr, serverOpTimeout)
 			if cl == nil {
-				return nil
+				return
 			}
 			defer cl.Close()
 			for i := 0; i < opsEach; i++ {
 				_, err := cl.Do(ctx, &wire.Request{Op: wire.OpQuery, Tenant: name, SQL: stormSQL[0]})
 				h.record(name, "flood", err)
-				if err == nil {
-					continue
-				}
-				var remote *wire.RemoteError
-				if errors.As(err, &remote) && errors.Is(err, els.ErrOverloaded) {
-					mu.Lock()
+				if h.auditShed("overload", err) {
+					h.mu.Lock()
 					sheds++
-					mu.Unlock()
-					if !remote.Wire.Retryable {
-						h.violation("overload shed not flagged retryable")
-					}
-					if remote.RetryAfter() <= 0 {
-						h.violation("overload shed carries no Retry-After hint")
-					}
+					h.mu.Unlock()
 				}
 				if cl.Broken() {
-					return nil
+					return
 				}
 			}
-			return nil
 		})
 	}
 	burst.Wait()
 	if sheds == 0 {
 		h.violation("overload flood produced no shed — the admission bulkhead never engaged")
 	}
-	h.logEvent(map[string]any{"event": "flood_done", "sheds": sheds})
+	h.event("flood_done", "sheds", sheds)
 }
 
 // poison floods one tenant with injected panics until its bulkhead trips,
 // then verifies the trip is sticky and typed.
 func (h *serverHarness) poison(ctx context.Context, addr, name string) {
-	cl := h.dial(ctx, addr)
+	cl := h.dial(ctx, addr, serverOpTimeout)
 	if cl == nil {
 		return
 	}
@@ -529,10 +462,10 @@ func (h *serverHarness) poison(ctx context.Context, addr, name string) {
 			break
 		}
 		if !errors.Is(err, els.ErrInternal) {
-			h.violation(fmt.Sprintf("injected panic surfaced as %v, want an internal error until the trip", err))
+			h.violation("injected panic surfaced as %v, want an internal error until the trip", err)
 		}
 		if cl.Broken() {
-			cl = h.redial(ctx, addr, cl)
+			cl = h.redial(ctx, addr, cl, serverOpTimeout)
 			if cl == nil {
 				return
 			}
@@ -542,13 +475,13 @@ func (h *serverHarness) poison(ctx context.Context, addr, name string) {
 		h.violation("tenant did not quarantine after repeated injected panics")
 		return
 	}
-	h.logEvent(map[string]any{"event": "poisoned", "tenant": name})
+	h.event("poisoned", "tenant", name)
 	// The quarantine must be sticky and typed: a healthy request now
 	// fails fast with the tenant sentinel, marked not retryable.
 	_, err := cl.Do(ctx, &wire.Request{Op: wire.OpEstimate, Tenant: name, SQL: versionProbeSQL})
 	var remote *wire.RemoteError
 	if !errors.As(err, &remote) || !errors.Is(err, els.ErrTenant) || !remote.Wire.Quarantined {
-		h.violation(fmt.Sprintf("quarantined tenant answered %v, want a typed quarantine error", err))
+		h.violation("quarantined tenant answered %v, want a typed quarantine error", err)
 	} else if remote.Wire.Retryable {
 		h.violation("quarantine error claims to be retryable; the trip is sticky until restart")
 	}
@@ -556,7 +489,7 @@ func (h *serverHarness) poison(ctx context.Context, addr, name string) {
 
 // auditIsolation verifies the poisoned tenant's neighbors still serve.
 func (h *serverHarness) auditIsolation(ctx context.Context, addr, poisoned string) {
-	cl := h.dial(ctx, addr)
+	cl := h.dial(ctx, addr, serverOpTimeout)
 	if cl == nil {
 		return
 	}
@@ -568,13 +501,11 @@ func (h *serverHarness) auditIsolation(ctx context.Context, addr, poisoned strin
 		}
 		resp, err := cl.Do(ctx, &wire.Request{Op: wire.OpEstimate, Tenant: name, SQL: versionProbeSQL})
 		if err != nil {
-			h.violation(fmt.Sprintf("tenant %s failed (%v) while %s is quarantined: bulkhead breach",
-				name, err, poisoned))
+			h.violation("tenant %s failed (%v) while %s is quarantined: bulkhead breach",
+				name, err, poisoned)
 			continue
 		}
-		h.mu.Lock()
-		h.obs[name] = append(h.obs[name], observation{resp.Estimate.CatalogVersion, resp.Estimate.FinalSize})
-		h.mu.Unlock()
+		h.observe(name, resp.Estimate.CatalogVersion, resp.Estimate.FinalSize)
 	}
 }
 
@@ -583,7 +514,7 @@ func (h *serverHarness) auditDrain(ctx context.Context, addr string, srv *server
 	// A request stalled inside a healthy tenant when the drain starts: it
 	// must complete (the drain waits for in-flight work).
 	inflight := workpool.Async(func() error {
-		cl := h.dial(ctx, addr)
+		cl := h.dial(ctx, addr, serverOpTimeout)
 		if cl == nil {
 			return fmt.Errorf("chaos: no client for the in-flight probe")
 		}
@@ -603,7 +534,7 @@ func (h *serverHarness) auditDrain(ctx context.Context, addr string, srv *server
 	// at dial — an equally acceptable drain shape.
 	time.Sleep(20 * time.Millisecond)
 	if cl, derr := wire.Dial(ctx, addr); derr != nil {
-		h.logEvent(map[string]any{"event": "mid_drain_refused_at_dial"})
+		h.event("mid_drain_refused_at_dial")
 	} else {
 		cl.OpTimeout = 5 * time.Second
 		_, err := cl.Do(ctx, &wire.Request{Op: wire.OpEstimate, Tenant: tenantName(0), SQL: versionProbeSQL})
@@ -613,7 +544,7 @@ func (h *serverHarness) auditDrain(ctx context.Context, addr string, srv *server
 			h.violation("request admitted mid-drain")
 		case errors.As(err, &remote):
 			if !errors.Is(err, els.ErrClosed) {
-				h.violation(fmt.Sprintf("mid-drain request got %v, want the closed sentinel", err))
+				h.violation("mid-drain request got %v, want the closed sentinel", err)
 			}
 			if remote.RetryAfter() <= 0 {
 				h.violation("mid-drain shed carries no Retry-After hint")
@@ -622,158 +553,18 @@ func (h *serverHarness) auditDrain(ctx context.Context, addr string, srv *server
 			// The accept gate may already be down; a connection-level
 			// refusal (bad-wire locally) is an acceptable shape too.
 			if !errors.Is(err, els.ErrBadWire) {
-				h.violation(fmt.Sprintf("mid-drain request got %v, want a typed shed", err))
+				h.violation("mid-drain request got %v, want a typed shed", err)
 			}
 		}
 		cl.Close()
 	}
 
 	if err := <-inflight; err != nil {
-		h.violation(fmt.Sprintf("in-flight request did not survive the drain: %v", err))
+		h.violation("in-flight request did not survive the drain: %v", err)
 	}
 	if err := <-done; err != nil {
-		h.violation(fmt.Sprintf("drain failed: %v", err))
+		h.violation("drain failed: %v", err)
 	}
 	report.DrainMillis = srv.Stats().DrainMillis
-	h.logEvent(map[string]any{"event": "drained", "drain_ms": report.DrainMillis})
-}
-
-// wireDigest fetches one tenant's identity over the wire.
-func (h *serverHarness) wireDigest(ctx context.Context, addr, name string) (string, error) {
-	cl := h.dial(ctx, addr)
-	if cl == nil {
-		return "", fmt.Errorf("chaos: dial failed")
-	}
-	defer cl.Close()
-	resp, err := cl.Do(ctx, &wire.Request{Op: wire.OpDigest, Tenant: name})
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("%d:%s", resp.Version, resp.Digest), nil
-}
-
-// auditVersions checks every estimate probe against the band and the
-// exact cardinality its tenant published for the pinned version.
-func (h *serverHarness) auditVersions() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for tenant, probes := range h.obs {
-		published := h.versionCard[tenant]
-		for _, o := range probes {
-			card, ok := published[o.version]
-			if !ok {
-				// The mutator's ack for this version may have been lost to
-				// a torn transport while the server still published it; the
-				// band check below still polices tenancy.
-				h.logEventLocked(map[string]any{"event": "unmatched_version", "tenant": tenant, "version": o.version})
-			} else if o.size != card {
-				h.violations = append(h.violations,
-					fmt.Sprintf("torn read in %s: estimate %g at version %d, which published %g",
-						tenant, o.size, o.version, card))
-			}
-			base := 0.0
-			for i := 0; i < h.cfg.Tenants; i++ {
-				if tenantName(i) == tenant {
-					base = tenantCardBase(i)
-				}
-			}
-			if o.size < base || o.size >= base+1_000_000 {
-				h.violations = append(h.violations,
-					fmt.Sprintf("cross-tenant read: %s estimate %g is outside its band [%g, %g)",
-						tenant, o.size, base, base+1_000_000))
-			}
-		}
-	}
-}
-
-// dial opens a wire client, recording a violation on failure.
-func (h *serverHarness) dial(ctx context.Context, addr string) *wire.Client {
-	cl, err := wire.Dial(ctx, addr)
-	if err != nil {
-		h.violation(fmt.Sprintf("chaos: dial %s failed: %v", addr, err))
-		return nil
-	}
-	cl.OpTimeout = 5 * time.Second
-	return cl
-}
-
-// redial replaces a broken client.
-func (h *serverHarness) redial(ctx context.Context, addr string, old *wire.Client) *wire.Client {
-	old.Close()
-	return h.dial(ctx, addr)
-}
-
-// record classifies one client-observed outcome; an error outside the
-// extended taxonomy is a contract violation.
-func (h *serverHarness) record(tenant, op string, err error) {
-	h.mu.Lock()
-	h.ops++
-	class := "ok"
-	if err == nil {
-		h.succeeded++
-	} else {
-		class = ""
-		for _, t := range wireTaxonomy {
-			if errors.Is(err, t.err) {
-				class = t.name
-				break
-			}
-		}
-		if class == "" {
-			class = "UNCLASSIFIED"
-			h.violations = append(h.violations,
-				fmt.Sprintf("%s %s: error outside the taxonomy: %v", tenant, op, err))
-		}
-		h.errsByClass[class]++
-	}
-	h.mu.Unlock()
-	h.logEvent(map[string]any{"event": "op", "tenant": tenant, "op": op, "class": class})
-}
-
-func (h *serverHarness) violation(msg string) {
-	h.mu.Lock()
-	h.violations = append(h.violations, msg)
-	h.mu.Unlock()
-}
-
-func (h *serverHarness) finish(report *ServerReport) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	report.Ops = h.ops
-	report.Succeeded = h.succeeded
-	report.ErrorsByClass = h.errsByClass
-	for _, probes := range h.obs {
-		report.Observations += len(probes)
-	}
-	report.Violations = h.violations
-}
-
-// logEvent / logEventLocked write one JSONL record to the event log (the
-// locked variant is for callers already holding h.mu).
-func (h *serverHarness) logEvent(fields map[string]any) { h.writeLog(fields) }
-func (h *serverHarness) logEventLocked(fields map[string]any) {
-	h.writeLog(fields)
-}
-
-func (h *serverHarness) writeLog(fields map[string]any) {
-	if h.cfg.LogW == nil {
-		return
-	}
-	h.logMu.Lock()
-	defer h.logMu.Unlock()
-	b, err := json.Marshal(fields)
-	if err != nil {
-		return
-	}
-	h.cfg.LogW.Write(append(b, '\n'))
-}
-
-// chaosPause sleeps d or until ctx dies.
-func chaosPause(ctx context.Context, d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-	}
+	h.event("drained", "drain_ms", report.DrainMillis)
 }

@@ -29,7 +29,10 @@ import (
 const colBatch = 4096
 
 // Arenas for the batch engine's scratch buffers, shared across executors
-// and worker goroutines.
+// and worker goroutines. The byte ledger is charged for the size a kernel
+// asks for, never for the capacity a recycled buffer happens to have: that
+// capacity depends on earlier queries, and charging it would make
+// PeakMemoryBytes and spill decisions differ between identical runs.
 var (
 	selArena = workpool.NewArena[int]()
 	keyArena = workpool.NewArena[uint64]()
@@ -53,7 +56,7 @@ func (e *Executor) scanRange(base *storage.Table, start, end int, filter compile
 			return err
 		}
 		sel := selArena.Get(n)
-		arena := int64(8 * cap(sel))
+		arena := int64(8 * n)
 		e.gov.ChargeBytes(arena) // batch-arena scratch, released with the batch
 		put := func() {
 			e.gov.ReleaseBytes(arena)
@@ -347,7 +350,7 @@ func (e *Executor) buildJoinTable(left, right *storage.Table, lKey, rKey int) (j
 	switch {
 	case ld.Type != rd.Type || ld.Type == storage.TypeFloat64:
 		lk, rk := floatKeys(ld), floatKeys(rd)
-		arena := int64(8 * (cap(lk) + cap(rk)))
+		arena := int64(8 * (len(lk) + len(rk)))
 		e.gov.ChargeBytes(arena) // key-arena scratch, released with the join
 		return newTypedTable(lk, rk, ld.Nulls, rd.Nulls), func() {
 			keyArena.Put(lk)
@@ -405,7 +408,7 @@ func (e *Executor) newPairProbe(table joinTable, left, right *storage.Table, res
 	out *storage.Table, stats *Stats) *pairProbe {
 	p := &pairProbe{e: e, table: table, left: left, right: right, residual: residual, out: out,
 		stats: stats, lsel: selArena.Get(colBatch), rsel: selArena.Get(colBatch)}
-	p.arena = int64(8 * (cap(p.lsel) + cap(p.rsel)))
+	p.arena = int64(8 * 2 * colBatch)
 	e.gov.ChargeBytes(p.arena) // pair-batch arena scratch, released by close
 	return p
 }

@@ -28,8 +28,14 @@ func (c ColumnRef) Key() string {
 	return strings.ToLower(c.Table) + "." + strings.ToLower(c.Column)
 }
 
-// String renders the reference as written.
-func (c ColumnRef) String() string { return c.Table + "." + c.Column }
+// String renders the reference as written: qualified once bound, the bare
+// column name before binding.
+func (c ColumnRef) String() string {
+	if c.Table == "" {
+		return c.Column
+	}
+	return c.Table + "." + c.Column
+}
 
 // SameAs reports whether two refs name the same column (case-insensitive).
 func (c ColumnRef) SameAs(o ColumnRef) bool { return c.Key() == o.Key() }

@@ -39,6 +39,11 @@ type Key struct {
 	Algo int
 	// Version is the catalog snapshot version the entry was computed on.
 	Version uint64
+	// MemoryEnforced records whether a per-query memory budget was in
+	// force: the planner swaps sort-merge for the hash join under one, so
+	// a plan made without a budget must not be served under one. The
+	// budget's size is deliberately left out — it does not change the plan.
+	MemoryEnforced bool
 }
 
 // Stats is a point-in-time snapshot of the cache counters.

@@ -202,6 +202,7 @@ func TestQueryString(t *testing.T) {
 		"SELECT COUNT(*) FROM S, M WHERE S.s = M.m AND S.s < 100",
 		"SELECT * FROM t",
 		"SELECT a.x, b FROM a, c b WHERE a.x = b.y",
+		"SELECT COUNT(*) FROM R, S WHERE a = b",
 	} {
 		q, err := Parse(sql)
 		if err != nil {

@@ -2,7 +2,6 @@ package els_test
 
 import (
 	"context"
-	"runtime"
 	"testing"
 	"time"
 
@@ -36,7 +35,7 @@ func TestChaosMemoryPressure(t *testing.T) {
 		cfg.LogW = logF
 	}
 
-	before := goroutineCount()
+	checkLeaks := leakCheck(t, 5*time.Second)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	rep, err := chaos.RunMemoryPressure(ctx, cfg)
@@ -58,15 +57,5 @@ func TestChaosMemoryPressure(t *testing.T) {
 	t.Logf("memory pressure: hog %d ops (%d ok, %d shed, %d spilled); neighbors %d ops, p99 %.1fms",
 		rep.HogOps, rep.HogSucceeded, rep.HogShed, rep.HogSpilled,
 		rep.NeighborOps, rep.NeighborP99Millis)
-
-	// Let the OS reap closed-connection goroutines before the leak check.
-	deadline := time.Now().Add(5 * time.Second)
-	for goroutineCount() > before && time.Now().Before(deadline) {
-		time.Sleep(20 * time.Millisecond)
-	}
-	if after := goroutineCount(); after > before {
-		buf := make([]byte, 1<<20)
-		t.Fatalf("goroutine leak: %d before storm, %d after\n%s",
-			before, after, buf[:runtime.Stack(buf, true)])
-	}
+	checkLeaks()
 }

@@ -173,9 +173,9 @@ type cachedPlan struct {
 // key, so forced-order estimates cache independently of best-plan ones.
 //
 // The cache key is (canonical normalized query, algorithm, pinned catalog
-// version): semantically identical query texts share an entry, and an
-// entry can only ever be served against the exact catalog version it was
-// planned on. On a hit, parse and bind still run (the caller needs the
+// version, whether a memory budget is enforced): semantically identical
+// query texts share an entry, and an entry can only ever be served against
+// the exact catalog version and join-method set it was planned with. On a hit, parse and bind still run (the caller needs the
 // bound query, and binding is what canonicalization is defined over) but
 // estimation and plan enumeration are skipped entirely — no plans are
 // charged against Limits.MaxPlans. Failed preparations are never cached.
@@ -196,7 +196,8 @@ func (s *System) planFor(gov *governor.Governor, snap *snapshot.Snapshot, sql st
 	}
 	var key plancache.Key
 	if cache != nil {
-		key = plancache.Key{Query: cacheQueryText(q, order), Algo: int(algo), Version: snap.Version()}
+		key = plancache.Key{Query: cacheQueryText(q, order), Algo: int(algo), Version: snap.Version(),
+			MemoryEnforced: gov.MemoryEnforced()}
 		if v, ok := cache.Get(key); ok {
 			cp := v.(*cachedPlan)
 			est := cp.est // copy the template; callers may stamp their copy

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -53,7 +53,7 @@ func TestReplicationChaos(t *testing.T) {
 		cfg.LogW = logF
 	}
 
-	before := goroutineCount()
+	checkLeaks := leakCheck(t, 0)
 	rep, err := chaos.RunReplication(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -110,19 +110,19 @@ func TestReplicationChaos(t *testing.T) {
 		var sb strings.Builder
 		fmt.Fprintf(&sb, "seed=%d rounds=%d final_version=%d primary=%s\n",
 			cfg.Seed, rep.Rounds, rep.FinalVersion, rep.Digest)
-		for id, d := range rep.FollowerDigests {
-			fmt.Fprintf(&sb, "replica=%s sha256=%s\n", id, d)
+		ids := make([]string, 0, len(rep.FollowerDigests))
+		for id := range rep.FollowerDigests {
+			ids = append(ids, id)
+		}
+		sort.Strings(ids) // map order would make same-seed artifacts differ
+		for _, id := range ids {
+			fmt.Fprintf(&sb, "replica=%s sha256=%s\n", id, rep.FollowerDigests[id])
 		}
 		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
 			t.Errorf("writing REPL_DIGEST: %v", err)
 		}
 	}
-
-	if after := goroutineCount(); after > before {
-		buf := make([]byte, 1<<20)
-		t.Fatalf("goroutine leak: %d before soak, %d after\n%s",
-			before, after, buf[:runtime.Stack(buf, true)])
-	}
+	checkLeaks()
 }
 
 // TestReplicationDeterministic pins that the soak is replayable: two runs

@@ -2,7 +2,6 @@ package els_test
 
 import (
 	"context"
-	"runtime"
 	"testing"
 	"time"
 
@@ -38,7 +37,7 @@ func TestServerChaos(t *testing.T) {
 		cfg.LogW = logF
 	}
 
-	before := goroutineCount()
+	checkLeaks := leakCheck(t, 5*time.Second)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	rep, err := chaos.RunServer(ctx, cfg)
@@ -68,15 +67,5 @@ func TestServerChaos(t *testing.T) {
 	}
 	t.Logf("server chaos: %d ops (%d ok), %d observations, drain %.1fms, poisoned %s, errors %v",
 		rep.Ops, rep.Succeeded, rep.Observations, rep.DrainMillis, rep.PoisonedTenant, rep.ErrorsByClass)
-
-	// Let the OS reap closed-connection goroutines before the leak check.
-	deadline := time.Now().Add(5 * time.Second)
-	for goroutineCount() > before && time.Now().Before(deadline) {
-		time.Sleep(20 * time.Millisecond)
-	}
-	if after := goroutineCount(); after > before {
-		buf := make([]byte, 1<<20)
-		t.Fatalf("goroutine leak: %d before storm, %d after\n%s",
-			before, after, buf[:runtime.Stack(buf, true)])
-	}
+	checkLeaks()
 }

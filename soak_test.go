@@ -42,6 +42,26 @@ func goroutineCount() int {
 	return n
 }
 
+// leakCheck snapshots the goroutine count before a run and returns the
+// check to call after it: the test fails, with a stack dump, if the count
+// grew. settle > 0 first waits up to that long for closed-connection
+// goroutines to be reaped.
+func leakCheck(t *testing.T, settle time.Duration) func() {
+	before := goroutineCount()
+	return func() {
+		t.Helper()
+		deadline := time.Now().Add(settle)
+		for settle > 0 && goroutineCount() > before && time.Now().Before(deadline) {
+			time.Sleep(20 * time.Millisecond)
+		}
+		if after := goroutineCount(); after > before {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("goroutine leak: %d before the run, %d after\n%s",
+				before, after, buf[:runtime.Stack(buf, true)])
+		}
+	}
+}
+
 // TestChaosSoak storms the serving layer — concurrent workers, catalog
 // mutation, and fault injection (errors, panics, latency) — and asserts
 // the audited contracts: taxonomy-complete errors, version-consistent
@@ -57,12 +77,11 @@ func TestChaosSoak(t *testing.T) {
 		cfg.Workers = 4
 		cfg.OpsPerWorker = 25
 	}
-	var logF *os.File
-	if logF = chaosLog(t); logF != nil {
+	if logF := chaosLog(t); logF != nil {
 		cfg.LogW = logF
 	}
 
-	before := goroutineCount()
+	checkLeaks := leakCheck(t, 0)
 	rep, err := chaos.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -84,12 +103,7 @@ func TestChaosSoak(t *testing.T) {
 	}
 	t.Logf("storm: %d ops, %d ok, %d versions, %d observations, errors %v",
 		rep.Ops, rep.Succeeded, rep.VersionsPublished, rep.Observations, rep.ErrorsByClass)
-
-	if after := goroutineCount(); after > before {
-		buf := make([]byte, 1<<20)
-		t.Fatalf("goroutine leak: %d before storm, %d after\n%s",
-			before, after, buf[:runtime.Stack(buf, true)])
-	}
+	checkLeaks()
 }
 
 // TestChaosCacheSoak storms the plan cache: workers re-issue a Zipf-skewed
